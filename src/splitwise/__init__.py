@@ -15,15 +15,16 @@ from .errors import (AuditFailureError, BudgetExceededError, FormatError,
 from .instance import (DTInstance, ValidationReport, format_number,
                        has_two_sided_test, iter_bits, members_of,
                        parse_number, restrict, round_weights,
-                       require_valid, validate_instance)
+                       require_valid, undistinguished_pairs,
+                       validate_instance)
 from .tree import (CostBreakdown, DecisionTree, NodeRecord, TreeNode,
                    consistent_set, cost, depth_of, interior,
                    interior_weight_sum, is_complete, leaf, recompute_masks,
                    structural_problems, tree_from_json_obj, tree_from_text,
                    tree_to_json_obj, tree_to_text, verify_caches)
 from .greedy import (SplitProfile, build_greedy_node, build_greedy_tree,
-                     greedy_choice, heavy_hypothesis, majority_split,
-                     max_part_num, minority_mass_num, split_profile)
+                     greedy_choice, heavy_above, heavy_hypothesis,
+                     majority_parts, majority_split, split_profile)
 from .exact import ExactSolver, optimal_cost, optimal_tree, partial_tree
 from .mssc import (MsscInstance, MsscSolution, chain_order, induced_mssc,
                    is_greedy_order, mssc_cost, mssc_greedy, mssc_optimal)

@@ -15,36 +15,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import chains
 from .chains import (assembled_audit, choose_delta, classify_vertices,
                      entropy_audit, greediness_audit, heavy_path_audit,
                      imbalanced_audit, label_invariant_problems,
                      chain_mssc_audit, monotonicity_audit, theorem1_bound,
                      uniform_binary_bound)
 from .errors import GenerationError, ParameterError
-from .exact import ExactSolver, optimal_cost, optimal_tree
+from .exact import optimal_cost, optimal_tree
 from .fulltree import FullTreeConfig, _Driver, audit_trace, full_tree, full_tree_uniform
-from .generators import (gen_grid_adversarial, gen_random,
+from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
                          gen_setcover_reduction, grid_certificate_tree,
                          grid_layout)
 from .greedy import build_greedy_tree, greedy_choice
-from .instance import DTInstance, iter_bits, round_weights, validate_instance
+from .instance import DTInstance, close, round_weights, validate_instance
 from .mssc import MsscInstance, is_greedy_order, mssc_cost, mssc_greedy, mssc_optimal
 from .report import AuditLine, make_line
 from .setcover import (greedy_cover_bound, max_set_weight, optimal_cover_size,
                        weighted_greedy_cover)
 from .tree import (DecisionTree, TreeNode, cost, interior, interior_weight_sum,
                    is_complete, leaf, tree_to_text)
-
-REL_TOL = 1e-9
-
-
-def _close(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    x, y = float(a), float(b)
-    return abs(x - y) <= REL_TOL * max(1.0, abs(x), abs(y))
-
 
 # ----------------------------------------------------------------------------
 # battery plumbing
@@ -61,6 +50,7 @@ class FailureArtifact:
 @dataclass
 class AuditContext:
     family: str
+    inject_fault: bool = False      # negative control: corrupt one tree
     lines: list[AuditLine] = field(default_factory=list)
     failures: list[FailureArtifact] = field(default_factory=list)
 
@@ -110,46 +100,46 @@ def corrupt_interior_mask(tree: DecisionTree, which: int = 0) -> DecisionTree:
     """Rebuild the tree with one interior node's cached mask corrupted (a
     member bit cleared).  Negative control for the cost identity: descent
     depths are untouched, the interior weight sum is not."""
-    targets = [rec for rec in tree.records if not rec.node.is_leaf]
+    targets = [rec.id for rec in tree.interior_records()]
     if not targets:
         raise ParameterError("no interior node to corrupt")
-    victim = targets[which % len(targets)].node
-
-    def rebuild(node: TreeNode) -> TreeNode:
+    victim = targets[which % len(targets)]
+    built: list[TreeNode] = [None] * len(tree)
+    for rec in reversed(tree.records):          # children before parents
+        node = rec.node
         if node.is_leaf:
-            return leaf(node.mask)
-        kids = [(a, rebuild(c)) for a, c in node.children]
+            built[rec.id] = leaf(node.mask)
+            continue
         mask = node.mask
-        if node is victim:
+        if rec.id == victim:
             mask &= mask - 1   # drop the lowest member bit
-        return interior(node.test, kids, mask)
-
-    return DecisionTree(rebuild(tree.root))
+        kids = [(a, built[c]) for (a, _), c in zip(node.children, rec.child_ids)]
+        built[rec.id] = interior(node.test, kids, mask)
+    return DecisionTree(built[0])
 
 
 # ----------------------------------------------------------------------------
 # families
 # ----------------------------------------------------------------------------
 
-def _family_identity(ctx: AuditContext, seed: int, float_mode: bool,
-                     inject_fault: bool = False) -> None:
+def _family_identity(ctx: AuditContext, seed: int, float_mode: bool) -> None:
     for i, (tag, inst) in enumerate(_corpus(seed, 25, n_hi=16, m_hi=12,
                                             float_mode=float_mode)):
         tree = build_greedy_tree(inst)
-        if inject_fault and i == 0:
+        if ctx.inject_fault and i == 0:
             tree = corrupt_interior_mask(tree)
             tag = f"injected; {tag}"
         lhs = interior_weight_sum(tree, inst)
         rhs = cost(tree, inst).raw
         ctx.add(_tag(make_line("cost_identity", lhs, rhs,
-                               passed=_close(lhs, rhs)), tag), inst, tree)
+                               passed=close(lhs, rhs)), tag), inst, tree)
     for tag, inst in _corpus(seed + 1, 6, n_hi=8, m_hi=7,
                              float_mode=float_mode):
         tree = optimal_tree(inst)
         lhs = interior_weight_sum(tree, inst)
         rhs = cost(tree, inst).raw
         ctx.add(_tag(make_line("cost_identity_opt", lhs, rhs,
-                               passed=_close(lhs, rhs)), tag), inst, tree)
+                               passed=close(lhs, rhs)), tag), inst, tree)
 
 
 def _family_monotone(ctx: AuditContext, seed: int, float_mode: bool) -> None:
@@ -286,7 +276,7 @@ def _family_mssc(ctx: AuditContext, seed: int, float_mode: bool) -> None:
                                else 4.0 * opt.cost), tag))
         recomputed = mssc_cost(inst, g.order)
         ctx.add(_tag(make_line("mssc_cost_route", g.cost, recomputed,
-                               passed=_close(g.cost, recomputed)), tag))
+                               passed=close(g.cost, recomputed)), tag))
         ctx.add(_tag(make_line("mssc_greedy_order",
                                int(is_greedy_order(inst, g)), 1,
                                passed=is_greedy_order(inst, g)), tag))
@@ -386,11 +376,7 @@ def _family_grid(ctx: AuditContext, seed: int, float_mode: bool) -> None:
 
 
 def _family_reduction(ctx: AuditContext, seed: int, float_mode: bool) -> None:
-    cases = [
-        (2, [frozenset({1}), frozenset({2})], 0.25),
-        (2, [frozenset({1}), frozenset({2}), frozenset({1, 2})], 0.25),
-    ]
-    for n0, sets, r in cases:
+    for n0, sets, r in REDUCTION_CASES:
         inst, meta = gen_setcover_reduction(n0, sets, r)
         tag = f"n0={n0} M={len(sets)} r={r}"
         ctx.add(_tag(make_line("reduction_weight_sum", sum(inst.weights), 1,
@@ -507,12 +493,8 @@ def run_battery(seed: int = 0, only=None, float_mode: bool = False,
     lines: list[AuditLine] = []
     failures: list[FailureArtifact] = []
     for i, name in enumerate(wanted):
-        ctx = AuditContext(name)
-        fam_seed = seed * 1009 + i * 101
-        if name == "identity":
-            _family_identity(ctx, fam_seed, float_mode, inject_fault)
-        else:
-            FAMILIES[name](ctx, fam_seed, float_mode)
+        ctx = AuditContext(name, inject_fault)
+        FAMILIES[name](ctx, seed * 1009 + i * 101, float_mode)
         lines.extend(ctx.lines)
         failures.extend(ctx.failures)
     return BatteryResult(lines, failures, tuple(wanted))

@@ -24,39 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError, StructureError
-from .greedy import heavy_hypothesis, majority_split, max_part_num
-from .instance import DTInstance, Number, has_two_sided_test, iter_bits
+from .greedy import heavy_above, majority_parts, majority_split
+from .instance import (REL_TOL, DTInstance, Number, close, has_two_sided_test,
+                       iter_bits, ln, log2)
 from .mssc import chain_order, induced_mssc, is_greedy_order, mssc_optimal
 from .report import AuditLine, make_line
 from .tree import DecisionTree, depth_of, interior_weight_sum
-
-# float-mode identities can't expect bit-exact equality; this mirrors the
-# tolerance used by the cost identity in the mssc module
-REL_TOL = 1e-9
-
-
-def _close(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    x, y = float(a), float(b)
-    return abs(x - y) <= REL_TOL * max(1.0, abs(x), abs(y))
-
-
-def _log2(x: Number) -> float:
-    """log2 that survives Fractions far outside float range."""
-    if isinstance(x, Fraction):
-        return math.log2(x.numerator) - math.log2(x.denominator)
-    return math.log2(x)
-
-
-def _ln(x: Number) -> float:
-    if isinstance(x, Fraction):
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(x)
-
 
 # ----------------------------------------------------------------------------
 # classification
@@ -171,13 +147,12 @@ def greediness_problems(tree: DecisionTree, inst: DTInstance) -> list[str]:
     """
     problems = []
     for rec in tree.interior_records():
-        smask = rec.node.mask
-        own = max_part_num(inst, smask, rec.node.test)
+        parts = majority_parts(inst, rec.node.mask)
+        own = parts[rec.node.test - 1][2]
         if own is None:
             problems.append(f"node {rec.id}: test {rec.node.test} does not split its set")
             continue
-        for j in range(1, inst.m + 1):
-            other = max_part_num(inst, smask, j)
+        for j, (_, _, other) in enumerate(parts, start=1):
             if other is not None and other < own:
                 problems.append(
                     f"node {rec.id}: test {j} beats test {rec.node.test} "
@@ -208,26 +183,22 @@ def classify_vertices(tree: DecisionTree, inst: DTInstance,
         raise ParameterError("not a greedy tree: " + bad[0])
 
     s_levels, powers = _level_range(delta, p_min)
-    s_max = _log2(Fraction(1) / p_min if isinstance(p_min, Fraction) else 1.0 / p_min) \
-        / _log2(Fraction(1) / delta if isinstance(delta, Fraction) else 1.0 / delta)
-
-    children: dict[int, dict[int, int]] = {}
-    for rec in tree.records:
-        if rec.parent_id is not None:
-            children.setdefault(rec.parent_id, {})[rec.parent_answer] = rec.id
+    s_max = log2(Fraction(1) / p_min if isinstance(p_min, Fraction) else 1.0 / p_min) \
+        / log2(Fraction(1) / delta if isinstance(delta, Fraction) else 1.0 / delta)
 
     labels: dict[int, VertexLabel] = {}
     for rec in tree.interior_records():
         smask = rec.node.mask
         kplus, maj_mask = majority_split(inst, smask, rec.node.test)
-        maj_child = children.get(rec.id, {}).get(kplus)
+        maj_child = tree.child_id(rec.id, kplus)
         if maj_child is None:
             raise StructureError(f"node {rec.id} lacks a child for majority answer {kplus}")
         pv = inst.mask_weight(smask)
-        pminus = inst.mask_weight(smask & ~maj_mask)
+        pminus_num = inst.mask_num(smask & ~maj_mask)
+        pminus = inst.num_to_weight(pminus_num)
         levels = tuple(s for s, power in zip(s_levels, powers)
                        if pminus <= power and pv > 2 * power)
-        h = heavy_hypothesis(inst, smask, rec.node.test)
+        h = heavy_above(inst, smask, pminus_num)
         q = inst.weight_of(h) if h is not None else _zero_like(delta)
         labels[rec.id] = VertexLabel(
             node_id=rec.id, depth=rec.depth, weight=pv, minority=pminus,
@@ -327,14 +298,10 @@ class HeavyPath:
 
 
 def _descent_ids(tree: DecisionTree, inst: DTInstance, h: int) -> list[int]:
-    children: dict[int, dict[int, int]] = {}
-    for rec in tree.records:
-        if rec.parent_id is not None:
-            children.setdefault(rec.parent_id, {})[rec.parent_answer] = rec.id
     path = [0]
     rec = tree.node(0)
     while not rec.node.is_leaf:
-        nxt = children.get(rec.id, {}).get(inst.answer_of(rec.node.test, h))
+        nxt = tree.child_id(rec.id, inst.answer_of(rec.node.test, h))
         if nxt is None:
             break
         path.append(nxt)
@@ -414,7 +381,7 @@ def theorem1_bound(n: int, p_min: Number, p_max: Number, c_opt: Number) -> float
     inv = Fraction(1) / p_min if isinstance(p_min, Fraction) else 1.0 / p_min
     ratio = p_max / p_min
     co = float(c_opt)
-    return (12.0 * _log2(inv) / math.log2(co) + _ln(ratio)) * co
+    return (12.0 * log2(inv) / math.log2(co) + ln(ratio)) * co
 
 
 def uniform_binary_bound(n: int, c_opt: Number) -> float:
@@ -475,7 +442,7 @@ def entropy_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
         labels = classify_vertices(tree, inst, delta)
     lhs = labels.balanced_weight()
     two_over = 2 / labels.delta if isinstance(labels.delta, Fraction) else 2.0 / labels.delta
-    rhs = math.log2(inst.n) / _log2(two_over) * float(two_over)
+    rhs = math.log2(inst.n) / log2(two_over) * float(two_over)
     return make_line("balanced_entropy", lhs, rhs)
 
 
@@ -499,24 +466,24 @@ def imbalanced_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
 
     interior = interior_weight_sum(tree, inst)
     lines.append(make_line("interior_partition", bal + imb, interior,
-                           passed=_close(bal + imb, interior)))
+                           passed=close(bal + imb, interior)))
 
     if inst.uniform and inst.k == 2:
         inv = 1 / labels.delta if isinstance(labels.delta, Fraction) else 1.0 / labels.delta
-        rhs_u = 4.0 * math.log2(inst.n) / _log2(inv) * float(exact_c_opt)
+        rhs_u = 4.0 * math.log2(inst.n) / log2(inv) * float(exact_c_opt)
         lines.append(make_line("imbalanced_uniform", imb, rhs_u))
 
     rhs_w = 4.0 * labels.s_max * float(exact_c_opt + 1) + float(q_sum)
     lines.append(make_line("imbalanced_weighted", imb, rhs_w))
 
-    rhs_q = (1.0 + _ln(inst.p_max / inst.p_min)) * float(exact_c_opt)
+    rhs_q = (1.0 + ln(inst.p_max / inst.p_min)) * float(exact_c_opt)
     lines.append(make_line("heavy_sum", q_sum, rhs_q))
 
     paths = heavy_paths(labels, tree, inst)
     per_h = sum((hp.q * hp.length for hp in paths.values()),
                 start=_zero_like(labels.delta))
     lines.append(make_line("heavy_identity", q_sum, per_h,
-                           passed=_close(q_sum, per_h)))
+                           passed=close(q_sum, per_h)))
     return lines
 
 
@@ -536,7 +503,7 @@ def heavy_path_audit(tree: DecisionTree, inst: DTInstance,
     from .setcover import greedy_cover_bound, max_set_weight, optimal_cover_size
     if labels is None:
         labels = classify_vertices(tree, inst, delta)
-    ratio_term = 1.0 + _ln(inst.p_max / inst.p_min)
+    ratio_term = 1.0 + ln(inst.p_max / inst.p_min)
     lines = []
     for h, hp in sorted(heavy_paths(labels, tree, inst).items()):
         d_opt = depth_of(opt_tree, inst, h)
@@ -627,7 +594,7 @@ def assembled_audit(tree: DecisionTree, inst: DTInstance,
 
     ent = entropy_audit(tree, inst, delta, labels=labels)
     inv = 1 / delta if isinstance(delta, Fraction) else 1.0 / delta
-    imb_rhs = 4.0 * math.log2(inst.n) / _log2(inv) * float(exact_c_opt)
+    imb_rhs = 4.0 * math.log2(inst.n) / log2(inv) * float(exact_c_opt)
     imb = labels.imbalanced_weight()
     assembled = ent.rhs + imb_rhs
     closed = uniform_binary_bound(inst.n, exact_c_opt)

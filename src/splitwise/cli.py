@@ -30,7 +30,8 @@ from .errors import (BudgetExceededError, FormatError, InvalidInstanceError,
 from .exact import ExactSolver, optimal_cost
 from .fulltree import (FullTreeConfig, approximation_factor, audit_trace,
                        full_tree, full_tree_uniform)
-from .generators import gen_grid_adversarial, gen_random, gen_setcover_reduction
+from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
+                         gen_setcover_reduction)
 from .greedy import build_greedy_tree
 from .instance import DTInstance, format_number, validate_instance
 from .setcover import optimal_cover_size
@@ -106,11 +107,6 @@ def cmd_gen(args) -> int:
 # solve
 # ----------------------------------------------------------------------------
 
-def _load_instance(path: str, as_float: bool) -> DTInstance:
-    text = Path(path).read_text()
-    return DTInstance.from_text(text, exact=not as_float)
-
-
 def _solve_fulltree(inst, args, budget):
     if args.algo == "fulltree-uniform":
         cfg = FullTreeConfig(alpha=args.alpha, mode="uniform", eps=args.eps,
@@ -123,7 +119,7 @@ def _solve_fulltree(inst, args, budget):
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args.instance, args.float)
+    inst = DTInstance.from_path(args.instance, exact=not args.float)
     report = validate_instance(inst)
     if not report.ok:
         print("invalid instance:")
@@ -274,9 +270,7 @@ def _experiment_rows(args, budget):
             bound = 4 * args.c_star
             row(iid, inst, "greedy", c_g, "bound", Fraction(bound), bound, ms)
     elif args.family == "reduction":
-        cases = [(2, [frozenset({1}), frozenset({2})], 0.25),
-                 (2, [frozenset({1}), frozenset({2}), frozenset({1, 2})], 0.25)]
-        for i, (n0, sets, r) in enumerate(cases):
+        for i, (n0, sets, r) in enumerate(REDUCTION_CASES):
             inst, meta = gen_setcover_reduction(n0, sets, r)
             iid = f"reduction-{i}-n0{n0}"
             b_opt = optimal_cover_size(frozenset(range(1, n0 + 1)), sets)

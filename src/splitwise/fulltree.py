@@ -30,20 +30,12 @@ from fractions import Fraction
 from .errors import NonUniformError, ParameterError, StructureError
 from .exact import ExactSolver
 from .greedy import build_greedy_node
-from .instance import DTInstance, Number, require_valid
+from .instance import DTInstance, Number, close, log2, require_valid
 from .report import AuditLine, make_line
 from .tree import DecisionTree, TreeNode, cost, interior
 
-REL_TOL = 1e-9
-
 GENERAL = "general"
 UNIFORM = "uniform"
-
-
-def _log2(x: Number) -> float:
-    if isinstance(x, Fraction):
-        return math.log2(x.numerator) - math.log2(x.denominator)
-    return math.log2(x)
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ def raw_depth_budget(n: int, cfg: FullTreeConfig) -> int:
         raise ParameterError("need n >= 1")
     if cfg.mode == UNIFORM:
         return math.ceil((4.0 + 2.0 * cfg.eps / 3.0) * math.log2(n) * n ** cfg.alpha)
-    return math.ceil((12.0 * math.log2(n) + _log2(cfg.ratio_bound)) * n ** cfg.alpha)
+    return math.ceil((12.0 * math.log2(n) + log2(cfg.ratio_bound)) * n ** cfg.alpha)
 
 
 def depth_budget(n: int, cfg: FullTreeConfig) -> int:
@@ -253,18 +245,11 @@ def full_tree_uniform(inst: DTInstance, cfg: FullTreeConfig, *,
 # trace audit
 # ----------------------------------------------------------------------------
 
-def _close(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    x, y = float(a), float(b)
-    return abs(x - y) <= REL_TOL * max(1.0, abs(x), abs(y))
-
-
 def approximation_factor(cfg: FullTreeConfig) -> float:
     """The guaranteed multiple of the optimal cost for this configuration."""
     if cfg.mode == UNIFORM:
         return (9.0 + cfg.eps) / cfg.alpha
-    return 25.0 / cfg.alpha + _log2(cfg.ratio_bound)
+    return 25.0 / cfg.alpha + log2(cfg.ratio_bound)
 
 
 def audit_trace(trace: RecursionTrace, inst: DTInstance,
@@ -303,7 +288,7 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
         decomposition += r.weight * part
     lines.append(make_line("cost_decomposition", decomposition,
                            trace.total_raw,
-                           passed=_close(decomposition, trace.total_raw)))
+                           passed=close(decomposition, trace.total_raw)))
 
     factor = trace.n ** (-trace.alpha / 3.0 if trace.mode == UNIFORM
                          else -trace.alpha / 4.0)
@@ -331,4 +316,4 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
 def _bound_rhs(trace: RecursionTrace, c_opt: Number) -> float:
     if trace.mode == UNIFORM:
         return (9.0 + trace.eps) / trace.alpha * float(c_opt)
-    return (25.0 / trace.alpha + _log2(trace.ratio_bound)) * float(c_opt)
+    return (25.0 / trace.alpha + log2(trace.ratio_bound)) * float(c_opt)

@@ -245,6 +245,13 @@ def grid_certificate_tree(lay: GridLayout) -> DecisionTree:
 # set-cover reduction family
 # ----------------------------------------------------------------------------
 
+# (n0, sets, r) of the small set-cover instances that the reduction audit and
+# `experiment --family reduction` both run through gen_setcover_reduction.
+REDUCTION_CASES = (
+    (2, (frozenset({1}), frozenset({2})), 0.25),
+    (2, (frozenset({1}), frozenset({2}), frozenset({1, 2})), 0.25),
+)
+
 @dataclass(frozen=True)
 class ReductionMeta:
     q: int          # cover repetitions guarding each sentinel

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInstanceError, StructureError, UnsplittableSetError
-from .instance import DTInstance, Number, SetLike, iter_bits
+from .errors import (InvalidInstanceError, ParameterError, StructureError,
+                     UnsplittableSetError)
+from .instance import (DTInstance, Number, SetLike, iter_bits,
+                       undistinguished_pairs)
 from .tree import DecisionTree, TreeNode, interior, leaf
 
 
@@ -27,65 +29,81 @@ class SplitProfile:
     useless: bool                      # a single answer holds all of S
 
 
-def _majority_index(part_nums, part_masks) -> int:
-    """0-based index of the heaviest nonempty part; ties -> largest index."""
-    best = -1
-    best_num = None
-    for idx, (num, pmask) in enumerate(zip(part_nums, part_masks)):
-        if pmask and (best_num is None or num >= best_num):
-            best = idx
-            best_num = num
-    return best
+def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
+    """The split of the set `smask` by each test (1..m, or those in `tests`).
+
+    One entry per test, in order: (k+, majority part mask, majority part
+    weight in raw numerator units).  The majority part is the heaviest
+    nonempty part, ties to the largest answer.  A test that does not split
+    smask (one answer holds all of it) has the whole set as its majority
+    part and weight None.  All tests of a set are scanned in one call, since
+    this is greedy's hot loop.
+    """
+    answer_masks = inst._answer_masks
+    if tests is not None:
+        if tests and (min(tests) < 1 or max(tests) > inst.m):
+            raise ParameterError(f"tests {tuple(tests)} outside 1..{inst.m}")
+        answer_masks = [answer_masks[j - 1] for j in tests]
+    mask_num = inst.mask_num
+    out = []
+    append = out.append
+    for masks in answer_masks:
+        best_a = best_pm = best_num = None
+        a = 0
+        for am in masks:
+            a += 1
+            pm = smask & am
+            if pm == smask:
+                best_a, best_pm, best_num = a, pm, None
+                break
+            if pm:
+                num = mask_num(pm)
+                if best_num is None or num >= best_num:
+                    best_a, best_pm, best_num = a, pm, num
+        append((best_a, best_pm, best_num))
+    return out
 
 
 def split_profile(inst: DTInstance, S: SetLike, j: int) -> SplitProfile:
     smask = inst.as_mask(S)
     if smask == 0:
         raise UnsplittableSetError("split profile of an empty set")
+    kplus, maj_mask, _ = majority_parts(inst, smask, (j,))[0]
     masks = tuple(smask & am for am in inst.answer_masks(j))
-    nums = tuple(inst.mask_num(pm) for pm in masks)
-    maj = _majority_index(nums, masks)
+    weights = tuple(inst.mask_weight(pm) for pm in masks)
     return SplitProfile(
         test=j,
-        part_weights=tuple(inst.num_to_weight(x) for x in nums),
+        part_weights=weights,
         part_masks=masks,
-        max_weight=inst.num_to_weight(nums[maj]),
-        majority_answer=maj + 1,
+        max_weight=weights[kplus - 1],
+        majority_answer=kplus,
         # summed directly over the minority elements, not p(S)-majority: the
         # subtraction form drifts by an ulp in float mode, which is enough to
         # flip strict comparisons against element weights
-        minority_mass=inst.mask_weight(smask & ~masks[maj]),
-        useless=any(pm == smask for pm in masks),
+        minority_mass=inst.mask_weight(smask & ~maj_mask),
+        useless=maj_mask == smask,
     )
 
 
-def _greedy_choice_mask(inst: DTInstance, smask: int) -> int:
-    """Core argmin loop on raw numerator units; returns a 1-based test index."""
+def _greedy_split(inst: DTInstance, smask: int, tests) -> tuple[int, list[int]]:
+    """(the greedy test at smask among `tests`, the other tests that split
+    smask).  `tests` must be ascending so that ties go to the smallest index.
+    """
     best_j = 0
     best_num = None
-    mask_num = inst.mask_num
-    for j in range(1, inst.m + 1):
-        worst = None
-        useless = False
-        for am in inst._answer_masks[j - 1]:
-            pm = smask & am
-            if pm == smask:
-                useless = True
-                break
-            if pm:
-                num = mask_num(pm)
-                if worst is None or num > worst:
-                    worst = num
-        if useless or worst is None:
-            continue
-        if best_num is None or worst < best_num:
-            best_num = worst
-            best_j = j
+    splitting = []
+    for j, (_, _, num) in zip(tests, majority_parts(inst, smask, tests)):
+        if num is not None:
+            splitting.append(j)
+            if best_num is None or num < best_num:
+                best_num = num
+                best_j = j
     if best_j == 0:
         raise UnsplittableSetError(
             f"instance invalid at set of size {smask.bit_count()}: no test splits it"
         )
-    return best_j
+    splitting.remove(best_j)
+    return best_j, splitting
 
 
 def greedy_choice(inst: DTInstance, S: SetLike) -> int:
@@ -94,19 +112,16 @@ def greedy_choice(inst: DTInstance, S: SetLike) -> int:
     smask = inst.as_mask(S)
     if smask.bit_count() < 2:
         raise UnsplittableSetError("greedy choice needs at least two hypotheses")
-    return _greedy_choice_mask(inst, smask)
+    return _greedy_split(inst, smask, range(1, inst.m + 1))[0]
 
 
 def _check_restriction_valid(inst: DTInstance, smask: int) -> None:
-    seen: dict[tuple[int, ...], int] = {}
-    for i in iter_bits(smask):
-        sig = tuple(row[i] for row in inst.tests)
-        if sig in seen:
-            raise InvalidInstanceError(
-                f"hypotheses {seen[sig]} and {i + 1} are undistinguished",
-                undistinguished=(seen[sig], i + 1),
-            )
-        seen[sig] = i + 1
+    pair = next(undistinguished_pairs(inst, smask), None)
+    if pair is not None:
+        raise InvalidInstanceError(
+            f"hypotheses {pair[0]} and {pair[1]} are undistinguished",
+            undistinguished=pair,
+        )
 
 
 def build_greedy_node(inst: DTInstance, smask: int) -> TreeNode:
@@ -114,24 +129,27 @@ def build_greedy_node(inst: DTInstance, smask: int) -> TreeNode:
 
     Iterative post-order build: chain-shaped greedy trees (singleton splits)
     can be as deep as n, which recursion would not survive at large n.
+    Each set is scanned only with the tests that split its parent, less the
+    parent's own test: a test that does not split a set splits none of its
+    subsets.
     """
     order: list[int] = []
     plan: dict[int, tuple[int, list[tuple[int, int]]] | None] = {}
-    stack = [smask]
+    stack = [(smask, range(1, inst.m + 1))]
     while stack:
-        s = stack.pop()
+        s, tests = stack.pop()
         order.append(s)
         if s.bit_count() == 1:
             plan[s] = None
             continue
-        j = _greedy_choice_mask(inst, s)
+        j, splitting = _greedy_split(inst, s, tests)
         kids = [
             (a, s & am)
             for a, am in enumerate(inst._answer_masks[j - 1], start=1)
             if s & am
         ]
         plan[s] = (j, kids)
-        stack.extend(part for _, part in kids)
+        stack.extend((part, splitting) for _, part in kids)
     built: dict[int, TreeNode] = {}
     for s in reversed(order):
         entry = plan[s]
@@ -158,54 +176,32 @@ def build_greedy_tree(inst: DTInstance, H: SetLike = None) -> DecisionTree:
 
 def majority_split(inst: DTInstance, smask: int, j: int) -> tuple[int, int]:
     """(majority answer k+, its part mask) for test j at the set `smask`."""
-    masks = tuple(smask & am for am in inst.answer_masks(j))
-    nums = tuple(inst.mask_num(pm) for pm in masks)
-    maj = _majority_index(nums, masks)
-    return maj + 1, masks[maj]
-
-
-def minority_mass_num(inst: DTInstance, smask: int, j: int):
-    """p^-(v) in raw numerator units for the node (set smask, test j).
-
-    Summed directly over the minority elements so that float-mode comparisons
-    against element weights stay self-consistent (p(S) minus the majority part
-    can land an ulp low, making an element look heavier than its own class).
-    """
-    _, maj_mask = majority_split(inst, smask, j)
-    return inst.mask_num(smask & ~maj_mask)
-
-
-def max_part_num(inst: DTInstance, smask: int, j: int):
-    """Heaviest part weight (raw units) of test j over smask, or None when
-    the test does not split smask (useless or trivial there)."""
-    worst = None
-    nonempty = 0
-    for am in inst._answer_masks[j - 1]:
-        pm = smask & am
-        if pm == smask:
-            return None
-        if pm:
-            nonempty += 1
-            num = inst.mask_num(pm)
-            if worst is None or num > worst:
-                worst = num
-    return worst if nonempty >= 2 else None
+    kplus, maj_mask, _ = majority_parts(inst, smask, (j,))[0]
+    return kplus, maj_mask
 
 
 def heavy_hypothesis(inst: DTInstance, smask: int, j: int) -> int | None:
     """The unique h in the set with p_h > p^-(v) for the node (smask, test j),
-    or None.
+    or None."""
+    _, maj_mask = majority_split(inst, smask, j)
+    return heavy_above(inst, smask, inst.mask_num(smask & ~maj_mask))
 
-    At a greedy split two such hypotheses are impossible (some test separates
-    them, so the lighter one bounds the minority mass from below), hence a
-    second find raises in exact mode instead of guessing.  Float rounding can
-    manufacture a near-tie duplicate, so float mode resolves to the heaviest
-    candidate.
+
+def heavy_above(inst: DTInstance, smask: int, pminus_num) -> int | None:
+    """The unique h in smask whose raw weight exceeds p^-(v) = pminus_num.
+
+    p^-(v) must be summed directly over the minority elements, so that
+    float-mode comparisons against element weights stay self-consistent
+    (p(S) minus the majority part can land an ulp low, making an element
+    look heavier than its own class).  At a greedy split two such hypotheses
+    are impossible (some test separates them, so the lighter one bounds the
+    minority mass from below), hence a second find raises in exact mode
+    instead of guessing.  Float rounding can manufacture a near-tie
+    duplicate, so float mode resolves to the heaviest candidate.
     """
-    pminus = minority_mass_num(inst, smask, j)
     found = None
     for i in iter_bits(smask):
-        if inst._wnum[i] > pminus:
+        if inst._wnum[i] > pminus_num:
             if found is not None:
                 if inst.exact:
                     raise StructureError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -21,7 +21,7 @@ from .errors import FormatError, InvalidInstanceError, ParameterError
 Number = Union[Fraction, float]
 
 FLOAT_SUM_TOL = 1e-9
-WEIGHT_CACHE_TOL = 1e-12
+REL_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------------
@@ -48,6 +48,29 @@ def format_number(x: Number) -> str:
     if isinstance(x, int):
         return str(x)
     return repr(float(x))
+
+
+def close(a, b) -> bool:
+    """Equality for identities: exact on two Fractions, else within REL_TOL
+    (float-mode identities can't expect bit-exact equality)."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    x, y = float(a), float(b)
+    return abs(x - y) <= REL_TOL * max(1.0, abs(x), abs(y))
+
+
+def log2(x: Number) -> float:
+    """log2 that survives Fractions far outside float range."""
+    if isinstance(x, Fraction):
+        return math.log2(x.numerator) - math.log2(x.denominator)
+    return math.log2(x)
+
+
+def ln(x: Number) -> float:
+    """Natural log that survives Fractions far outside float range."""
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -349,7 +372,7 @@ class DTInstance:
                 for w in obj["weights"]
             ]
             return cls(weights, obj["tests"], obj.get("k"))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc
 
     @classmethod
@@ -357,7 +380,11 @@ class DTInstance:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
-            return cls.from_json_obj(json.loads(text), exact=exact)
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"bad JSON instance document: {exc}") from exc
+            return cls.from_json_obj(obj, exact=exact)
         return cls.from_text(text, exact=exact)
 
     def as_float(self) -> "DTInstance":
@@ -405,16 +432,7 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
         elif abs(total - 1.0) > FLOAT_SUM_TOL:
             problems.append(f"weights sum to {total!r}, |sum-1| > {FLOAT_SUM_TOL}")
 
-    # Pairwise distinguishability via answer-signature grouping: two hypotheses
-    # are separated by some test iff their answer columns differ.
-    groups: dict[tuple[int, ...], int] = {}
-    pairs: list[tuple[int, int]] = []
-    for h in range(1, inst.n + 1):
-        sig = tuple(row[h - 1] for row in inst.tests)
-        prev = groups.get(sig)
-        if prev is not None:
-            pairs.append((prev, h))
-        groups[sig] = h
+    pairs = list(undistinguished_pairs(inst, inst.full_mask))
     if pairs:
         problems.append(
             "undistinguished hypothesis pairs: " + ", ".join(map(str, pairs))
@@ -422,6 +440,23 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
 
     return ValidationReport(ok=not problems, problems=tuple(problems),
                             undistinguished=tuple(pairs))
+
+
+def undistinguished_pairs(inst: DTInstance, mask: int) -> Iterator[tuple[int, int]]:
+    """Pairs (g, h), g < h, of members of `mask` that no test separates.
+
+    Hypotheses are grouped by answer signature (two are separated by some
+    test iff their answer columns differ); each member is paired with the
+    latest earlier member of its group.  Lazy, so a caller that only needs
+    the first pair stops there.
+    """
+    latest: dict[tuple[int, ...], int] = {}
+    for i in iter_bits(mask):
+        sig = tuple(row[i] for row in inst.tests)
+        prev = latest.get(sig)
+        if prev is not None:
+            yield prev, i + 1
+        latest[sig] = i + 1
 
 
 def require_valid(inst: DTInstance) -> None:

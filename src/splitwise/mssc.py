@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceededError, ParameterError, StructureError
-from .greedy import heavy_hypothesis, majority_split
+from .greedy import heavy_hypothesis, majority_parts
 from .instance import DTInstance, Number, format_number, iter_bits, parse_number
 from .tree import DecisionTree, NodeRecord
 
@@ -95,6 +95,39 @@ class MsscInstance:
             total += w[low.bit_length() - 1]
             mask ^= low
         return total
+
+    def greedy_completion(self, prefix: Sequence[int] = ()) -> list[int]:
+        """`prefix` extended until the universe is covered, each step taking
+        the set that covers the maximum remaining WEIGHT.
+
+        Ties go to the smallest set index.  Zero-weight elements can make all
+        remaining weights tie at 0; restricting candidates to sets that cover
+        at least one uncovered element keeps the loop terminating and the
+        order deterministic.
+        """
+        full = (1 << len(self.elements)) - 1
+        covered = 0
+        for j in prefix:
+            covered |= self._set_masks[j - 1]
+        order = list(prefix)
+        while covered != full:
+            best_j = 0
+            best_w = None
+            for j, mask in enumerate(self._set_masks, start=1):
+                gain = mask & ~covered
+                if not gain:
+                    continue
+                w = self._mask_weight(gain)
+                if best_w is None or w > best_w:
+                    best_w = w
+                    best_j = j
+            if best_j == 0:
+                residue = [self.elements[i] for i in iter_bits(full & ~covered)]
+                raise ParameterError(
+                    f"sets do not cover the universe; uncovered: {residue}")
+            order.append(best_j)
+            covered |= self._set_masks[best_j - 1]
+        return order
 
     # -- text format --------------------------------------------------------
     # header `|S| M`, a line of |S| weights, then M set lines listing 1-based
@@ -206,39 +239,10 @@ def mssc_cost(inst: MsscInstance, sol: OrderLike) -> Number:
 
 
 def mssc_greedy(inst: MsscInstance) -> MsscSolution:
-    """Pick the set covering maximum remaining WEIGHT until covered.
-
-    Ties go to the smallest set index.  Zero-weight elements can make all
-    remaining weights tie at 0; restricting candidates to sets that cover at
-    least one uncovered element keeps the loop terminating and the order
-    deterministic.
-    """
-    if not inst.covers_universe():
-        union = 0
-        for m in inst._set_masks:
-            union |= m
-        full = (1 << inst.n_elements) - 1
-        residue = [inst.elements[i] for i in range(inst.n_elements)
-                   if not (union >> i) & 1]
-        raise ParameterError(f"sets do not cover the universe; uncovered: {residue}")
-    full = (1 << inst.n_elements) - 1
-    covered = 0
-    order: list[int] = []
-    while covered != full:
-        best_j = 0
-        best_w = None
-        for j in range(1, inst.n_sets + 1):
-            gain_mask = inst._set_masks[j - 1] & ~covered
-            if not gain_mask:
-                continue
-            w = inst._mask_weight(gain_mask)
-            if best_w is None or w > best_w:
-                best_w = w
-                best_j = j
-        order.append(best_j)
-        covered |= inst._set_masks[best_j - 1]
-    sol = MsscSolution(tuple(order), 0)
-    return MsscSolution(sol.order, mssc_cost(inst, sol))
+    """Pick the set covering maximum remaining WEIGHT until covered, ties to
+    the smallest set index (see `MsscInstance.greedy_completion`)."""
+    order = inst.greedy_completion()
+    return MsscSolution(tuple(order), mssc_cost(inst, order))
 
 
 def is_greedy_order(inst: MsscInstance, sol: OrderLike) -> bool:
@@ -334,8 +338,7 @@ def mssc_optimal(inst: MsscInstance) -> MsscSolution:
 # ----------------------------------------------------------------------------
 
 def _chain_records(tree: DecisionTree, chain) -> list[NodeRecord]:
-    recs = [tree.node(v) if isinstance(v, int) else tree.record_of(getattr(v, "node", v))
-            for v in chain]
+    recs = [tree.node(v) for v in chain]
     if not recs:
         raise ParameterError("empty chain")
     for above, below in zip(recs, recs[1:]):
@@ -362,19 +365,12 @@ def induced_mssc(inst: DTInstance, tree: DecisionTree, chain) -> MsscInstance:
     smask = recs[0].node.mask
     elements = [i + 1 for i in iter_bits(smask)]
     weights = [inst.weights[i] for i in iter_bits(smask)]
-    sets: list[frozenset[int]] = []
-    for j in range(1, inst.m + 1):
-        _, maj_mask = majority_split(inst, smask, j)
-        minority = smask & ~maj_mask
-        sets.append(frozenset(i + 1 for i in iter_bits(minority)))
+    sets: list[frozenset[int]] = [
+        frozenset(i + 1 for i in iter_bits(smask & ~maj_mask))
+        for _, maj_mask, _ in majority_parts(inst, smask)]
     for h in range(1, inst.n + 1):
         sets.append(frozenset([h]) if (smask >> (h - 1)) & 1 else frozenset())
     return MsscInstance(elements, weights, sets)
-
-
-def _heavy_of(inst: DTInstance, rec: NodeRecord) -> int | None:
-    """The unique hypothesis h in L(v) with p_h > p^-(v), if any."""
-    return heavy_hypothesis(inst, rec.node.mask, rec.node.test)
 
 
 def chain_order(inst: DTInstance, tree: DecisionTree, chain) -> MsscSolution:
@@ -390,7 +386,8 @@ def chain_order(inst: DTInstance, tree: DecisionTree, chain) -> MsscSolution:
     tests = [rec.node.test for rec in recs]
 
     ell0 = 0
-    heavies = [_heavy_of(inst, rec) for rec in recs]
+    heavies = [heavy_hypothesis(inst, rec.node.mask, rec.node.test)
+               for rec in recs]
     for idx, h in enumerate(heavies, start=1):
         if h is None:
             ell0 = idx
@@ -402,23 +399,5 @@ def chain_order(inst: DTInstance, tree: DecisionTree, chain) -> MsscSolution:
             raise StructureError("heavy hypothesis missing past the heavy boundary")
         prefix = tests[:ell0] + [inst.m + h0] + tests[ell0:]
 
-    # complete greedily from the prefix's coverage state
-    full = (1 << m_inst.n_elements) - 1
-    covered = 0
-    for j in prefix:
-        covered |= m_inst._set_masks[j - 1]
-    order = list(prefix)
-    while covered != full:
-        best_j = 0
-        best_w = None
-        for j in range(1, m_inst.n_sets + 1):
-            gain = m_inst._set_masks[j - 1] & ~covered
-            if not gain:
-                continue
-            w = m_inst._mask_weight(gain)
-            if best_w is None or w > best_w:
-                best_w = w
-                best_j = j
-        order.append(best_j)
-        covered |= m_inst._set_masks[best_j - 1]
+    order = m_inst.greedy_completion(prefix)
     return MsscSolution(tuple(order), mssc_cost(m_inst, order))

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, ParameterError
 from .instance import Number
+from .mssc import MsscInstance
 
 MAX_OPT_SETS = 20
 
@@ -30,22 +31,9 @@ def weighted_greedy_cover(weights: Mapping, sets: Sequence[Iterable]) -> tuple[i
     universe = set(weights)
     family = [frozenset(s) & universe for s in sets]
     _check_coverage(universe, family)
-    uncovered = set(universe)
-    order: list[int] = []
-    while uncovered:
-        best_j = 0
-        best_w = None
-        for j, fs in enumerate(family, start=1):
-            gain_elems = fs & uncovered
-            if not gain_elems:
-                continue
-            w = sum(weights[e] for e in gain_elems)
-            if best_w is None or w > best_w:
-                best_w = w
-                best_j = j
-        order.append(best_j)
-        uncovered -= family[best_j - 1]
-    return tuple(order)
+    elements = tuple(weights)
+    cover = MsscInstance(elements, [weights[e] for e in elements], family)
+    return tuple(cover.greedy_completion())
 
 
 def optimal_cover_size(universe: Iterable, sets: Sequence[Iterable]) -> int:

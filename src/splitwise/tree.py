@@ -5,6 +5,12 @@ A tree node stores its test (or None for a leaf), its children as
 hypotheses consistent with the root-to-node path.  Absent children are legal
 for answers no consistent hypothesis takes.  Depth of the root is 0.
 
+`DecisionTree` indexes a finished tree once, in preorder: record i holds node
+i's depth, its parent's id and answer, and the ids of its children, in the
+order of `node.children`.  Walkers use these ids instead of rebuilding child
+maps, and no walker recurses, so chain-shaped trees thousands of levels deep
+round-trip through text and JSON.
+
 Two cost routes are kept deliberately separate so they can cross-check each
 other: `cost` walks each hypothesis down the tree by its answers (the
 deepest-consistent-vertex definition, independent of the cached masks), while
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import FormatError, IncompleteTreeError, ParameterError, StructureError
 from .instance import DTInstance, HypothesisSet, Number, SetLike, iter_bits, members_of
@@ -58,13 +64,14 @@ def interior(test: int, children: Iterable[tuple[int, TreeNode]], mask: int) -> 
     return TreeNode(test, kids, mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     id: int
     node: TreeNode
     depth: int
     parent_id: int | None
     parent_answer: int | None
+    child_ids: tuple[int, ...]   # aligned with node.children
 
 
 class DecisionTree:
@@ -74,14 +81,27 @@ class DecisionTree:
 
     def __init__(self, root: TreeNode):
         self.root = root
-        recs: list[NodeRecord] = []
-        stack: list[tuple[TreeNode, int, int | None, int | None]] = [(root, 0, None, None)]
-        while stack:
-            node, depth, pid, pans = stack.pop()
-            rid = len(recs)
-            recs.append(NodeRecord(rid, node, depth, pid, pans))
-            for answer, child in reversed(node.children):
-                stack.append((child, depth + 1, rid, answer))
+        # Depth-first over the open interior nodes of the current root path:
+        # (id, node, depth, parent id, parent answer, child ids so far,
+        # children left).  A node's record is made once its last child is
+        # done, when all its child ids are known; a leaf's at once.
+        recs: list[NodeRecord | None] = [None]
+        path = [(0, root, 0, None, None, [], iter(root.children))]
+        while path:
+            rid, node, depth, pid, pans, kids, rest = path[-1]
+            nxt = next(rest, None)
+            if nxt is None:
+                path.pop()
+                recs[rid] = NodeRecord(rid, node, depth, pid, pans, tuple(kids))
+                continue
+            answer, child = nxt
+            cid = len(recs)
+            kids.append(cid)
+            if child.children:
+                recs.append(None)
+                path.append((cid, child, depth + 1, rid, answer, [], iter(child.children)))
+            else:
+                recs.append(NodeRecord(cid, child, depth + 1, rid, answer, ()))
         self.records = tuple(recs)
 
     def __len__(self) -> int:
@@ -92,11 +112,13 @@ class DecisionTree:
             raise ParameterError(f"no node with id {node_id}")
         return self.records[node_id]
 
-    def record_of(self, node: TreeNode) -> NodeRecord:
-        for rec in self.records:
-            if rec.node is node:
-                return rec
-        raise ParameterError("node does not belong to this tree")
+    def child_id(self, node_id: int, answer: int) -> int | None:
+        """Id of node_id's child on `answer`, or None when there is none."""
+        rec = self.node(node_id)
+        for (a, _), cid in zip(rec.node.children, rec.child_ids):
+            if a == answer:
+                return cid
+        return None
 
     def depth(self) -> int:
         return max(rec.depth for rec in self.records)
@@ -111,29 +133,18 @@ class DecisionTree:
         return f"DecisionTree({len(self.records)} nodes, depth {self.depth()})"
 
 
-NodeLike = Union[int, TreeNode, NodeRecord]
-
-
-def _resolve(tree: DecisionTree, v: NodeLike) -> NodeRecord:
-    if isinstance(v, NodeRecord):
-        v = v.node
-    if isinstance(v, TreeNode):
-        return tree.record_of(v)
-    return tree.node(v)
-
-
 # ----------------------------------------------------------------------------
 # consistency sets
 # ----------------------------------------------------------------------------
 
-def consistent_set(tree: DecisionTree, v: NodeLike, inst: DTInstance) -> HypothesisSet:
-    """L(v): hypotheses whose answers match every edge label on the root path.
+def consistent_set(tree: DecisionTree, v: int, inst: DTInstance) -> HypothesisSet:
+    """L(v) for node id v: hypotheses whose answers match every edge label on
+    the root path.
 
     Returns the cached mask wrapped with its weight; `verify_caches` is the
     falsifier that recomputes these from scratch.
     """
-    rec = _resolve(tree, v)
-    return inst.hset(rec.node.mask)
+    return inst.hset(tree.node(v).node.mask)
 
 
 def recompute_masks(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> dict[int, int]:
@@ -298,37 +309,56 @@ def tree_to_text(tree: DecisionTree) -> str:
 
 
 def tree_to_json_obj(tree: DecisionTree) -> dict:
-    def conv(node: TreeNode) -> dict:
-        if node.is_leaf:
-            return {"leaf": True}
-        return {"test": node.test,
-                "children": [[a, conv(c)] for a, c in node.children]}
-    return conv(tree.root)
+    objs: list[dict] = []
+    for rec in tree.records:
+        node = rec.node
+        obj = {"leaf": True} if node.is_leaf else {"test": node.test, "children": []}
+        objs.append(obj)
+        if rec.parent_id is not None:
+            objs[rec.parent_id]["children"].append([rec.parent_answer, obj])
+    return objs[0]
 
 
-def _attach_masks(shape, inst: DTInstance, root_mask: int) -> TreeNode:
-    """shape: (test_or_None, [(answer, shape), ...]); recompute every mask."""
-    test, kids = shape
-    if test is None:
-        if kids:
-            raise FormatError("leaf node with children")
-        return leaf(root_mask)
-    if not 1 <= test <= inst.m:
-        raise FormatError(f"test {test} outside 1..{inst.m}")
-    built = []
-    for answer, sub in kids:
-        if not 1 <= answer <= inst.k:
-            raise FormatError(f"answer {answer} outside 1..{inst.k}")
-        child_mask = root_mask & inst.answer_masks(test)[answer - 1]
-        if child_mask == 0:
-            raise StructureError(
-                f"serialized tree inconsistent with instance: empty set under "
-                f"test {test} answer {answer}"
-            )
-        built.append((answer, _attach_masks(sub, inst, child_mask)))
-    if not built:
-        raise FormatError(f"interior node (test {test}) with no children")
-    return interior(test, built, root_mask)
+# A tree shape read from a document: preorder entries (test or None for a
+# leaf, parent entry index or None for the root, answer on the parent edge).
+Shape = list[tuple[int | None, int | None, int | None]]
+
+
+def _attach_masks(shape: Shape, inst: DTInstance, root_mask: int) -> TreeNode:
+    """Check the shape against the instance, recompute every mask top-down,
+    then build the nodes bottom-up."""
+    masks: list[int] = []
+    kids: list[list[int]] = [[] for _ in shape]
+    for idx, (test, parent, answer) in enumerate(shape):
+        mask = root_mask
+        if parent is not None:
+            ptest = shape[parent][0]
+            if ptest is None:
+                raise FormatError("leaf node with children")
+            if not 1 <= answer <= inst.k:
+                raise FormatError(f"answer {answer} outside 1..{inst.k}")
+            mask = masks[parent] & inst.answer_masks(ptest)[answer - 1]
+            if mask == 0:
+                raise StructureError(
+                    f"serialized tree inconsistent with instance: empty set under "
+                    f"test {ptest} answer {answer}"
+                )
+            kids[parent].append(idx)
+        if test is not None:
+            if not 1 <= test <= inst.m:
+                raise FormatError(f"test {test} outside 1..{inst.m}")
+            if idx + 1 == len(shape) or shape[idx + 1][1] != idx:
+                raise FormatError(f"interior node (test {test}) with no children")
+        masks.append(mask)
+    built: list[TreeNode] = [None] * len(shape)
+    for idx in reversed(range(len(shape))):
+        test = shape[idx][0]
+        if test is None:
+            built[idx] = leaf(masks[idx])
+        else:
+            built[idx] = interior(test, [(shape[c][2], built[c]) for c in kids[idx]],
+                                  masks[idx])
+    return built[0]
 
 
 def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTree:
@@ -357,38 +387,36 @@ def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTr
     if entries[0][0] != 0 or entries[0][2] is not None:
         raise FormatError("first line must be the root (depth 0, parent answer '-')")
 
-    pos = 0
-
-    def parse(depth: int):
-        nonlocal pos
-        my_depth, test, _ = entries[pos]
-        if my_depth != depth:
-            raise FormatError(f"preorder depth mismatch at entry {pos}")
-        pos += 1
-        kids = []
-        while pos < len(entries) and entries[pos][0] == depth + 1:
-            answer = entries[pos][2]
-            if answer is None:
-                raise FormatError(f"non-root entry {pos} lacks a parent answer")
-            kids.append((answer, parse(depth + 1)))
-        return (test, kids)
-
-    shape = parse(0)
-    if pos != len(entries):
-        raise FormatError(f"dangling entries after preorder walk (at {pos})")
-    root_mask = inst.as_mask(H)
-    return DecisionTree(_attach_masks(shape, inst, root_mask))
+    shape: Shape = [(entries[0][1], None, None)]
+    path = [0]      # entry index of the open ancestor at each depth
+    for pos in range(1, len(entries)):
+        depth, test, pans = entries[pos]
+        if not 1 <= depth <= len(path):
+            raise FormatError(f"dangling entries after preorder walk (at {pos})")
+        if pans is None:
+            raise FormatError(f"non-root entry {pos} lacks a parent answer")
+        del path[depth:]
+        shape.append((test, path[-1], pans))
+        path.append(pos)
+    return DecisionTree(_attach_masks(shape, inst, inst.as_mask(H)))
 
 
 def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> DecisionTree:
-    def conv(o) -> tuple:
+    shape: Shape = []
+    stack = [(obj, None, None)]
+    while stack:
+        o, parent, answer = stack.pop()
         if not isinstance(o, dict):
             raise FormatError("tree nodes must be objects")
+        kids = []
         if o.get("leaf"):
-            return (None, [])
-        if "test" not in o:
+            test = None
+        elif "test" not in o:
             raise FormatError("interior node missing 'test'")
-        kids = [(int(a), conv(sub)) for a, sub in o.get("children", [])]
-        return (int(o["test"]), kids)
-
-    return DecisionTree(_attach_masks(conv(obj), inst, inst.as_mask(H)))
+        else:
+            test = int(o["test"])
+            kids = [(int(a), sub) for a, sub in o.get("children", [])]
+        shape.append((test, parent, answer))
+        for a, sub in reversed(kids):
+            stack.append((sub, len(shape) - 1, a))
+    return DecisionTree(_attach_masks(shape, inst, inst.as_mask(H)))

@@ -1,5 +1,7 @@
 """Audit battery: the library checking its own promises end to end."""
 
+from pathlib import Path
+
 import pytest
 
 from splitwise import DTInstance
@@ -97,3 +99,19 @@ def test_determinism():
     a = run_battery(seed=3, only=["mssc", "chains"])
     b = run_battery(seed=3, only=["mssc", "chains"])
     assert [str(l) for l in a.lines] == [str(l) for l in b.lines]
+
+
+@pytest.mark.parametrize("float_mode,golden", [
+    (False, "audit_seed0.txt"),
+    (True, "audit_seed0_float.txt"),
+])
+def test_battery_matches_golden_output(float_mode, golden):
+    """`splitwise audit --seed 0 [--float]`, pinned line for line: a
+    refactor must not move a single audit figure."""
+    expected = (Path(__file__).parent / "data" / golden).read_text().splitlines()
+    result = run_battery(seed=0, float_mode=float_mode)
+    lines = [l.format(as_float=float_mode) for l in result.lines]
+    assert lines == expected[:-1]
+    assert expected[-1] == (f"# families={len(result.families_run)} "
+                            f"lines={len(result.lines)} failed=0 advisory="
+                            f"{sum(1 for l in result.lines if not l.mandatory)}")

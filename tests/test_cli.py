@@ -1,5 +1,6 @@
 """Command-line harness, exercised in-process through main(argv)."""
 
+import json
 import os
 from fractions import Fraction
 
@@ -107,6 +108,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert rc == EXIT_INVALID
         assert "invalid input" in err
+
+    def test_json_instance_solves(self, tmp_path, capsys):
+        inst = DTInstance.from_text(singleton3_text())
+        path = write_instance(tmp_path, "singleton3.json",
+                              json.dumps(inst.to_json_obj()))
+        rc = main(["solve", path, "--algo", "greedy"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert "C_G=5/3" in out
+
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
+        for name, text in (("broken.json", '{"weights": ["1/2",'),
+                           ("answer.json", '{"weights": ["1/2", "1/2"], '
+                                           '"tests": [[1, "x"]]}')):
+            path = write_instance(tmp_path, name, text)
+            rc = main(["solve", path, "--algo", "greedy"])
+            err = capsys.readouterr().err
+            assert rc == EXIT_INVALID, name
+            assert "invalid input" in err
 
     def test_missing_file_exits_2(self, capsys):
         rc = main(["solve", "/nonexistent/path.txt"])

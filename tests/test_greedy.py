@@ -12,13 +12,13 @@ from splitwise import (
     UnsplittableSetError,
     build_greedy_tree,
     cost,
+    gen_grid_adversarial,
     greedy_choice,
     heavy_hypothesis,
     interior_weight_sum,
     is_complete,
+    majority_parts,
     majority_split,
-    max_part_num,
-    minority_mass_num,
     optimal_cost,
     split_profile,
     structural_problems,
@@ -55,7 +55,8 @@ def test_split_profile_flags_useless_test():
     # test 1 does not split {2,3}: both answer 2
     prof = split_profile(inst, [2, 3], 1)
     assert prof.useless
-    assert max_part_num(inst, inst.as_mask([2, 3]), 1) is None
+    # the primitive reports a non-splitting test by a max-part weight of None
+    assert majority_parts(inst, inst.as_mask([2, 3]), (1,))[0][2] is None
 
 
 def test_greedy_choice_minimizes_max_part():
@@ -104,7 +105,7 @@ def test_majority_tie_prefers_largest_answer():
     a, mask = majority_split(inst, 0b11, 1)
     assert a == 2
     assert mask == 0b10
-    assert minority_mass_num(inst, 0b11, 1) == inst.mask_num(0b01)
+    assert inst.mask_num(0b11 & ~mask) == inst.mask_num(0b01)
 
 
 def test_heavy_hypothesis_detection():
@@ -173,7 +174,10 @@ def test_cost_identity_both_routes():
 
 
 def test_every_interior_choice_is_greedy():
-    for idx, inst in enumerate(make_corpus(33, 40)):
+    # the builder scans each set only with its parent's splitting tests;
+    # greedy_choice scans all of them
+    grids = [gen_grid_adversarial(n, c) for n, c in ((64, 4), (256, 5))]
+    for idx, inst in enumerate(make_corpus(33, 40) + grids):
         tree = build_greedy_tree(inst)
         for rec in tree.records:
             if rec.node.is_leaf:
@@ -188,7 +192,9 @@ def test_minority_mass_never_increases_downward():
     for idx, inst in enumerate(make_corpus(34, 60)):
         tree = build_greedy_tree(inst)
         minority = {
-            rec.id: minority_mass_num(inst, rec.node.mask, rec.node.test)
+            rec.id: inst.mask_num(
+                rec.node.mask
+                & ~majority_split(inst, rec.node.mask, rec.node.test)[1])
             for rec in tree.records if not rec.node.is_leaf
         }
         for rec in tree.records:

@@ -1,5 +1,6 @@
 """Instance container: parsing, masks, validation, restriction, rounding."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 
 from splitwise import (
     DTInstance,
+    build_greedy_tree,
+    optimal_tree,
     FormatError,
     InvalidInstanceError,
     ParameterError,
@@ -117,6 +120,22 @@ def test_json_round_trip():
     assert back.weights == inst.weights and back.tests == inst.tests
 
 
+def test_from_path_reads_json_and_rejects_malformed_json(tmp_path):
+    inst = quarter_instance()
+    good = tmp_path / "inst.json"
+    good.write_text(json.dumps(inst.to_json_obj()))
+    assert DTInstance.from_path(good).to_text() == inst.to_text()
+    for name, text in (
+        ("broken.json", '{"n": 2, "weights": ['),
+        ("answer.json", '{"weights": ["1/2", "1/2"], "tests": [[1, "x"]]}'),
+        ("range.json", '{"weights": ["1/2", "1/2"], "tests": [[1, 3]], "k": 2}'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            DTInstance.from_path(path)
+
+
 def test_from_text_rejects_garbage():
     with pytest.raises(FormatError):
         DTInstance.from_text("this is not an instance\n")
@@ -151,6 +170,19 @@ def test_validate_flags_undistinguished_pair():
     assert report.undistinguished[0] == (1, 2), (
         f"expected the first clashing pair, got {report.undistinguished}"
     )
+
+
+def test_undistinguished_pairs_reported_and_raised():
+    # hypotheses 1, 3, 4 share one answer column; 2 and 5 share another
+    inst = DTInstance([Fraction(1, 5)] * 5, [(1, 2, 1, 1, 2), (1, 1, 1, 1, 1)], 2)
+    report = validate_instance(inst)
+    assert report.undistinguished == ((1, 3), (3, 4), (2, 5))
+    # solvers over a subset raise on its first clashing pair
+    for solve in (build_greedy_tree, optimal_tree):
+        with pytest.raises(InvalidInstanceError) as ei:
+            solve(inst, [2, 3, 4, 5])
+        assert ei.value.undistinguished == (3, 4)
+    build_greedy_tree(inst, [1, 2])          # a distinguished subset is fine
 
 
 def test_validate_flags_bad_weight_sum():

@@ -12,6 +12,7 @@ import pytest
 from splitwise import (
     DTInstance,
     DecisionTree,
+    FormatError,
     IncompleteTreeError,
     StructureError,
     build_greedy_tree,
@@ -233,3 +234,77 @@ def test_serialized_text_is_deterministic():
     a = tree_to_text(build_greedy_tree(inst))
     b = tree_to_text(build_greedy_tree(inst))
     assert a == b
+
+
+def test_malformed_tree_text_rejected():
+    inst = quarter_instance()
+    bad_docs = {
+        "depth jumps": "0 0 test 1 -\n1 2 leaf 1\n",
+        "second root": "0 0 test 1 -\n1 1 leaf 1\n2 0 leaf -\n",
+        "no parent answer": "0 0 test 1 -\n1 1 leaf -\n",
+        "leaf with children": "0 0 leaf -\n1 1 leaf 1\n",
+        "interior without children": "0 0 test 1 -\n",
+        "test out of range": "0 0 test 3 -\n1 1 leaf 1\n",
+        "answer out of range": "0 0 test 1 -\n1 1 leaf 3\n",
+    }
+    for what, text in bad_docs.items():
+        with pytest.raises(FormatError):
+            tree_from_text(text, inst)
+            pytest.fail(what)
+    # an edge that no hypothesis takes
+    stub = DTInstance([Fraction(1, 2)] * 2, [(1, 1), (1, 2)], 2)
+    with pytest.raises(StructureError):
+        tree_from_text("0 0 test 1 -\n1 1 leaf 2\n", stub)
+
+
+# ---------------------------------------------------------------------------
+# chain-shaped trees thousands of levels deep
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    """n=1200 with one singleton test per hypothesis: the greedy tree is a
+    chain of depth n-1, deeper than the default recursion limit."""
+    n = 1200
+    tests = [tuple(1 if h == j else 2 for h in range(n)) for j in range(n)]
+    inst = DTInstance([Fraction(1, n)] * n, tests, 2)
+    tree = build_greedy_tree(inst)
+    assert tree.depth() == n - 1
+    return inst, tree
+
+
+def test_deep_chain_text_round_trip(deep_chain):
+    inst, tree = deep_chain
+    text = tree_to_text(tree)
+    back = tree_from_text(text, inst)
+    assert tree_to_text(back) == text
+    assert all(a.node.mask == b.node.mask
+               for a, b in zip(tree.records, back.records))
+
+
+def test_deep_chain_json_round_trip(deep_chain):
+    inst, tree = deep_chain
+    back = tree_from_json_obj(tree_to_json_obj(tree), inst)
+    assert tree_to_text(back) == tree_to_text(tree)
+    verify_caches(back, inst)    # no raise
+
+
+def test_deep_chain_corruption(deep_chain):
+    inst, tree = deep_chain
+    bad = corrupt_interior_mask(tree, which=len(tree) // 4)
+    assert tree_to_text(bad) == tree_to_text(tree)
+    with pytest.raises(StructureError):
+        verify_caches(bad, inst)
+
+
+def test_child_ids_index_the_children():
+    rng = random.Random(25)
+    inst = random_valid_instance(rng, 9, 5, 3)
+    tree = build_greedy_tree(inst)
+    for rec in tree.records:
+        assert len(rec.child_ids) == len(rec.node.children)
+        for (answer, child), cid in zip(rec.node.children, rec.child_ids):
+            assert tree.node(cid).node is child
+            assert tree.node(cid).parent_id == rec.id
+            assert tree.child_id(rec.id, answer) == cid
+    assert tree.child_id(0, inst.k + 1) is None
