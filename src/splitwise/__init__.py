@@ -8,18 +8,18 @@ modules carry the analysis instrumentation; `audits` bundles it into a
 seeded battery; `cli` exposes everything as a command line tool.
 """
 
-from .errors import (AuditFailureError, BudgetExceededError, FormatError,
-                     GenerationError, IncompleteTreeError,
-                     InvalidInstanceError, NonUniformError, ParameterError,
-                     SplitwiseError, StructureError, UnsplittableSetError)
+from .errors import (BudgetExceededError, FormatError, GenerationError,
+                     IncompleteTreeError, InvalidInstanceError,
+                     NonUniformError, ParameterError, SplitwiseError,
+                     StructureError, UnsplittableSetError)
 from .instance import (DTInstance, ValidationReport, format_number,
                        has_two_sided_test, iter_bits, members_of,
                        parse_number, restrict, round_weights,
                        require_valid, undistinguished_pairs,
                        validate_instance)
-from .tree import (CostBreakdown, DecisionTree, NodeRecord, TreeNode,
-                   consistent_set, cost, depth_of, interior,
-                   interior_weight_sum, is_complete, leaf, recompute_masks,
+from .tree import (CostBreakdown, DecisionTree, NodeRecord, TreeNode, cost,
+                   depth_of, interior, interior_weight_sum, is_complete,
+                   leaf, recompute_masks,
                    structural_problems, tree_from_json_obj, tree_from_text,
                    tree_to_json_obj, tree_to_text, verify_caches)
 from .greedy import (SplitProfile, build_greedy_node, build_greedy_tree,
@@ -39,8 +39,7 @@ from .chains import (ChainDecomposition, HeavyPath, VertexLabel, VertexLabels,
                      monotonicity_audit, theorem1_bound, uniform_binary_bound)
 from .fulltree import (CallRecord, FullTreeConfig, RecursionTrace,
                        approximation_factor, audit_trace, depth_budget,
-                       full_tree, full_tree_uniform, keep_greedy_threshold,
-                       raw_depth_budget)
+                       full_tree, keep_greedy_threshold, raw_depth_budget)
 from .generators import (GridLayout, ReductionMeta, gen_grid_adversarial,
                          gen_random, gen_setcover_reduction,
                          grid_certificate_tree, grid_layout)

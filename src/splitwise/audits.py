@@ -22,7 +22,7 @@ from .chains import (assembled_audit, choose_delta, classify_vertices,
                      uniform_binary_bound)
 from .errors import GenerationError, ParameterError
 from .exact import optimal_cost, optimal_tree
-from .fulltree import FullTreeConfig, _Driver, audit_trace, full_tree, full_tree_uniform
+from .fulltree import FullTreeConfig, audit_trace, full_tree
 from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
                          gen_setcover_reduction, grid_certificate_tree,
                          grid_layout)
@@ -316,11 +316,10 @@ def _family_fulltree(ctx: AuditContext, seed: int, float_mode: bool) -> None:
         alpha = 0.5
         if inst.uniform:
             cfg = FullTreeConfig(alpha=alpha, mode="uniform", n0=4)
-            tree, trace = full_tree_uniform(inst, cfg)
         else:
             cfg = FullTreeConfig(alpha=alpha, mode="general",
                                  ratio_bound=inst.weight_ratio())
-            tree, trace = full_tree(inst, cfg)
+        tree, trace = full_tree(inst, cfg)
         ctx.add(_tag(make_line("fulltree_complete",
                                int(is_complete(tree, inst)), 1,
                                passed=is_complete(tree, inst)), tag),
@@ -331,17 +330,13 @@ def _family_fulltree(ctx: AuditContext, seed: int, float_mode: bool) -> None:
     # so grafting and multi-level recursion run at small n (the formula
     # budget would finish in one expansion).  Only budget-independent lines
     # are asserted.
+    forced = FullTreeConfig(alpha=0.5, mode="uniform", n0=4, b=2, threshold=1e9)
     for tag, inst in _corpus(seed + 1, 6, n_lo=8, n_hi=12, m_hi=8,
                              profiles=("uniform",), float_mode=float_mode):
-        cfg = FullTreeConfig(alpha=0.5, mode="uniform", n0=4)
-        d = _Driver(inst, cfg, b_override=2, threshold_override=1e9)
-        tree = DecisionTree(d.solve(inst.full_mask, 0))
-        bd = cost(tree, inst)
-        d.trace.total_cost = bd.total
-        d.trace.total_raw = bd.raw
+        tree, trace = full_tree(inst, forced)
         c_opt = optimal_cost(inst)
         keep = ("family_disjoint", "cost_decomposition", "level_contribution")
-        for line in audit_trace(d.trace, inst, c_opt):
+        for line in audit_trace(trace, inst, c_opt):
             if line.name in keep:
                 ctx.add(_tag(line, f"{tag} b=2"), inst, tree)
         ctx.add(_tag(make_line("fulltree_complete",

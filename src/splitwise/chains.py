@@ -51,9 +51,6 @@ class VertexLabel:
     heavy: int | None           # the unique h with p_h > p^-(v), if any
     q: Number                   # p_heavy, or 0
 
-    def imbalanced_at(self, s: int) -> bool:
-        return s in self.levels
-
 
 class VertexLabels:
     """Interior-vertex labels for one (tree, instance, delta) triple.

@@ -29,7 +29,7 @@ from .errors import (BudgetExceededError, FormatError, InvalidInstanceError,
                      ParameterError, SplitwiseError)
 from .exact import ExactSolver, optimal_cost
 from .fulltree import (FullTreeConfig, approximation_factor, audit_trace,
-                       full_tree, full_tree_uniform)
+                       full_tree)
 from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
                          gen_setcover_reduction)
 from .greedy import build_greedy_tree
@@ -107,15 +107,13 @@ def cmd_gen(args) -> int:
 # solve
 # ----------------------------------------------------------------------------
 
-def _solve_fulltree(inst, args, budget):
+def _fulltree_config(inst, args) -> FullTreeConfig:
     if args.algo == "fulltree-uniform":
-        cfg = FullTreeConfig(alpha=args.alpha, mode="uniform", eps=args.eps,
-                             n0=args.n0)
-        return full_tree_uniform(inst, cfg, budget_ms=budget), cfg
+        return FullTreeConfig(alpha=args.alpha, mode="uniform", eps=args.eps,
+                              n0=args.n0)
     ratio = args.ratio_bound if args.ratio_bound is not None \
         else inst.weight_ratio()
-    cfg = FullTreeConfig(alpha=args.alpha, mode="general", ratio_bound=ratio)
-    return full_tree(inst, cfg, budget_ms=budget), cfg
+    return FullTreeConfig(alpha=args.alpha, mode="general", ratio_bound=ratio)
 
 
 def cmd_solve(args) -> int:
@@ -143,7 +141,8 @@ def cmd_solve(args) -> int:
     else:
         if args.alpha is None:
             raise ParameterError("--alpha is required for fulltree algorithms")
-        (tree, trace), cfg = _solve_fulltree(inst, args, budget)
+        tree, trace = full_tree(inst, _fulltree_config(inst, args),
+                                budget_ms=budget)
         label = "C_FULLTREE"
         total = trace.total_cost
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -159,9 +158,10 @@ def cmd_solve(args) -> int:
         try:
             baseline = optimal_cost(inst, budget_ms=budget)
             lines = audit_trace(trace, inst, baseline)
+            bound = next(l for l in lines if l.name == "fulltree_bound")
             print(f"C_OPT={_fmt(baseline, args.float)} "
-                  f"factor={approximation_factor(cfg):.4f} "
-                  f"within_bound={float(total) <= approximation_factor(cfg) * float(baseline) + 1e-9}")
+                  f"factor={approximation_factor(trace.cfg):.4f} "
+                  f"within_bound={bound.passed}")
         except BudgetExceededError:
             lines = audit_trace(trace, inst, None)
             print("C_OPT=unavailable (budget)")

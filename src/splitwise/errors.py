@@ -51,9 +51,5 @@ class GenerationError(SplitwiseError):
     """A generator could not produce a valid instance within its retry budget."""
 
 
-class AuditFailureError(SplitwiseError):
-    """A mandatory audit inequality or identity did not hold."""
-
-
 class StructureError(SplitwiseError):
     """A structural lemma the code relies on was violated (indicates a bug upstream)."""

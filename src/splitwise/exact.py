@@ -123,10 +123,6 @@ class ExactSolver:
 
     # -- public operations ---------------------------------------------------
 
-    def raw_cost_num(self, H: SetLike, b: int):
-        """f(H, b): unnormalized optimal cost sum in raw numerator units."""
-        return self._solve(self.inst.as_mask(H), b)[0]
-
     def partial_cost(self, H: SetLike, b: int) -> Number:
         """C_OPT(H, b) = f(H, b) / p(H), normalized to the set's mass."""
         mask = self.inst.as_mask(H)

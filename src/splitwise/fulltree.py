@@ -1,8 +1,9 @@
 """Subexponential-time approximation solver.
 
 The driver computes a greedy tree for the current hypothesis set H and keeps
-it when either H is already light (p(H) < 1/n^2) or the greedy tree is cheap
-(its cost clears a threshold that certifies near-optimality).  Otherwise it
+it when either H is already light (p(H) < 1/n^2) or the greedy tree is
+near-optimal (its cost clears a threshold, which certifies that OPT is large
+too).  Otherwise it
 spends a depth budget b on an exact bounded-depth expansion and recurses on
 the depth-b leaves that still hold more than one hypothesis.
 
@@ -19,6 +20,13 @@ current subset, at every recursion level.  Every call is recorded in a
 RecursionTrace so the accounting that justifies the cost guarantee (level
 families, their disjointness, the exact cost decomposition, per-level weight
 contraction) can be audited after the fact.
+
+`FullTreeConfig.b` and `.threshold`, when set, replace the two formulas.  At
+every n the exact search can finish, the formula budget is capped at n-1 and
+a default run is one complete optimal expansion; a small b with an
+unreachable threshold (say b=2, threshold=1e9) makes every call expand, so
+the grafting and the multi-level recursion run at small n.  The guarantee and
+the budget-dependent trace audits assume the formula values.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ class FullTreeConfig:
     ratio_bound: Number = 1      # R: promised p_max/p_min ceiling (general mode)
     eps: float = 0.03            # uniform-mode slack
     n0: int = 12                 # uniform mode: brute-force below this size
+    b: int | None = None         # depth budget; None: depth_budget(n, cfg)
+    threshold: float | None = None  # keep-greedy cost; None: the formula
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -57,6 +67,9 @@ class FullTreeConfig:
             raise ParameterError("eps must be > 0")
         if self.n0 < 2:
             raise ParameterError("n0 must be >= 2")
+        if self.b is not None and self.b < 1:
+            # with b = 0 an expansion hands its own set back, to be solved again
+            raise ParameterError(f"depth budget b must be >= 1, got {self.b}")
 
 
 def raw_depth_budget(n: int, cfg: FullTreeConfig) -> int:
@@ -75,15 +88,20 @@ def depth_budget(n: int, cfg: FullTreeConfig) -> int:
     return max(0, min(raw_depth_budget(n, cfg), n - 1))
 
 
+def _contraction(n: int, cfg: FullTreeConfig) -> float:
+    """n^(-alpha/3) (uniform) or n^(-alpha/4) (general): the keep-greedy
+    threshold per unit of budget, and the per-level shrink of expanded weight."""
+    return n ** (-cfg.alpha / 3.0 if cfg.mode == UNIFORM else -cfg.alpha / 4.0)
+
+
 def keep_greedy_threshold(n: int, cfg: FullTreeConfig, b: int) -> float:
     """Cost level above which the greedy tree is returned as-is."""
-    exponent = -cfg.alpha / 3.0 if cfg.mode == UNIFORM else -cfg.alpha / 4.0
-    return n ** exponent * b
+    return _contraction(n, cfg) * b
 
 
 # decision tags recorded per call
 GREEDY_SMALL_WEIGHT = "greedy_small_weight"   # p(H) < 1/n^2
-GREEDY_CHEAP = "greedy_cheap"                 # greedy cost >= threshold
+GREEDY_NEAR_OPTIMAL = "greedy_near_optimal"   # greedy cost >= threshold
 EXPANDED = "expanded"                         # bounded-depth search + recursion
 
 
@@ -103,10 +121,7 @@ class CallRecord:
 
 @dataclass
 class RecursionTrace:
-    mode: str
-    alpha: float
-    eps: float
-    ratio_bound: Number
+    cfg: FullTreeConfig
     n: int
     b: int
     threshold: float
@@ -140,26 +155,19 @@ class RecursionTrace:
 
 
 class _Driver:
-    # b_override / threshold_override shrink the budget below the formula
-    # value so the recursion machinery can be exercised at small n, where the
-    # formula otherwise hands back a complete optimal tree in one expansion.
     def __init__(self, inst: DTInstance, cfg: FullTreeConfig,
                  max_expansions: int | None = None,
-                 budget_ms: float | None = None, *,
-                 b_override: int | None = None,
-                 threshold_override: float | None = None):
+                 budget_ms: float | None = None):
         self.inst = inst
         self.cfg = cfg
         self.n = inst.n
-        self.b = depth_budget(inst.n, cfg) if b_override is None else b_override
+        self.b = depth_budget(inst.n, cfg) if cfg.b is None else cfg.b
         self.threshold = (keep_greedy_threshold(inst.n, cfg, self.b)
-                          if threshold_override is None else threshold_override)
+                          if cfg.threshold is None else cfg.threshold)
         self.total_num = inst.mask_num(inst.full_mask)
         self.solver = ExactSolver(inst, max_expansions=max_expansions,
                                   budget_ms=budget_ms)
-        self.trace = RecursionTrace(cfg.mode, cfg.alpha, cfg.eps,
-                                    cfg.ratio_bound, inst.n, self.b,
-                                    self.threshold)
+        self.trace = RecursionTrace(cfg, inst.n, self.b, self.threshold)
 
     def _is_small(self, mask: int) -> bool:
         # normalized mass test: p(H)/p([n]) < 1/n^2, exact by cross-multiplying
@@ -171,39 +179,79 @@ class _Driver:
         return DecisionTree(build_greedy_node(self.inst, mask))
 
     def solve(self, mask: int, level: int) -> TreeNode:
+        """The output tree for `mask`.  Calls run in recursion order (an
+        expanded call, then the calls on its depth-b leaves, left to right)
+        from an explicit stack and are assembled bottom-up afterwards, so a
+        small b on a deep instance cannot exhaust the interpreter stack."""
+        calls = []      # (kept root or partial tree, parent call, leaf id, grafts)
+        stack = [(mask, level, None, None)]
+        while stack:
+            mask, level, parent, leaf_id = stack.pop()
+            out = self._call(mask, level)
+            calls.append((out, parent, leaf_id, {}))
+            if isinstance(out, DecisionTree):
+                multi = [r for r in out.leaves() if r.node.mask.bit_count() > 1]
+                if any(r.depth != self.b for r in multi):
+                    raise StructureError(
+                        "multi-hypothesis leaf above the depth budget: "
+                        "set has no splitting test")
+                stack.extend((r.node.mask, level + 1, len(calls) - 1, r.id)
+                             for r in reversed(multi))
+        for out, parent, leaf_id, grafts in reversed(calls):
+            root = out if isinstance(out, TreeNode) else _graft(out, grafts)
+            if parent is None:
+                return root
+            calls[parent][3][leaf_id] = root
+
+    def _call(self, mask: int, level: int) -> TreeNode | DecisionTree:
+        """Record one call: the greedy root it keeps, or its partial tree."""
         g = self.greedy_tree(mask)
         gcost = cost(g, self.inst, mask).total
         weight = self.inst.mask_weight(mask)
-
-        if self._is_small(mask):
+        decision = (GREEDY_SMALL_WEIGHT if self._is_small(mask) else
+                    GREEDY_NEAR_OPTIMAL if gcost >= self.threshold else EXPANDED)
+        if decision != EXPANDED:
             self.trace.records.append(CallRecord(
-                level, mask, weight, GREEDY_SMALL_WEIGHT, gcost, None))
-            return g.root
-        if gcost >= self.threshold:
-            self.trace.records.append(CallRecord(
-                level, mask, weight, GREEDY_CHEAP, gcost, None))
+                level, mask, weight, decision, gcost, None))
             return g.root
 
         partial = self.solver.partial_tree(mask, self.b)
         pcost = self.solver.partial_cost(mask, self.b)
         self.trace.records.append(CallRecord(
             level, mask, weight, EXPANDED, gcost, pcost))
-        return self._graft(partial.root, 0, level)
+        return partial
 
-    def _graft(self, node: TreeNode, depth: int, level: int) -> TreeNode:
+
+def _graft(tree: DecisionTree, subtrees: dict[int, TreeNode]) -> TreeNode:
+    """`tree` with the leaves named by record id replaced, built bottom-up."""
+    built: list[TreeNode] = [None] * len(tree.records)
+    for rec in reversed(tree.records):
+        node = rec.node
         if node.is_leaf:
-            if node.mask.bit_count() <= 1:
-                return node
-            if depth != self.b:
-                raise StructureError(
-                    "multi-hypothesis leaf above the depth budget: "
-                    "set has no splitting test")
-            return self.solve(node.mask, level + 1)
-        kids = [(a, self._graft(c, depth + 1, level)) for a, c in node.children]
-        return interior(node.test, kids, node.mask)
+            built[rec.id] = subtrees.get(rec.id, node)
+        else:
+            built[rec.id] = interior(
+                node.test, [(a, built[c]) for (a, _), c
+                            in zip(node.children, rec.child_ids)], node.mask)
+    return built[0]
 
 
-def _run(inst: DTInstance, cfg: FullTreeConfig, max_expansions, budget_ms):
+def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,
+              max_expansions: int | None = None,
+              budget_ms: float | None = None):
+    """Run the solver in the config's mode; returns (tree, trace).
+
+    Uniform mode needs uniform weights.  General mode errors out before
+    solving if the instance's actual weight ratio exceeds the promised
+    ratio_bound — the guarantee would be void.
+    """
+    if cfg.mode == UNIFORM:
+        if not inst.uniform:
+            raise NonUniformError("uniform solver needs uniform weights")
+    elif inst.weight_ratio() > cfg.ratio_bound:
+        raise ParameterError(
+            f"weight ratio {inst.weight_ratio()} exceeds the promised bound "
+            f"{cfg.ratio_bound}")
     require_valid(inst)
     driver = _Driver(inst, cfg, max_expansions, budget_ms)
     tree = DecisionTree(driver.solve(inst.full_mask, 0))
@@ -211,34 +259,6 @@ def _run(inst: DTInstance, cfg: FullTreeConfig, max_expansions, budget_ms):
     driver.trace.total_cost = breakdown.total
     driver.trace.total_raw = breakdown.raw
     return tree, driver.trace
-
-
-def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,
-              max_expansions: int | None = None,
-              budget_ms: float | None = None):
-    """Run the general-profile solver; returns (tree, trace).
-
-    Errors out before solving if the instance's actual weight ratio exceeds
-    the promised ratio_bound — the guarantee would be void.
-    """
-    if cfg.mode != GENERAL:
-        raise ParameterError("config mode must be 'general' here")
-    if inst.weight_ratio() > cfg.ratio_bound:
-        raise ParameterError(
-            f"weight ratio {inst.weight_ratio()} exceeds the promised bound "
-            f"{cfg.ratio_bound}")
-    return _run(inst, cfg, max_expansions, budget_ms)
-
-
-def full_tree_uniform(inst: DTInstance, cfg: FullTreeConfig, *,
-                      max_expansions: int | None = None,
-                      budget_ms: float | None = None):
-    """Run the uniform-profile solver; returns (tree, trace)."""
-    if cfg.mode != UNIFORM:
-        raise ParameterError("config mode must be 'uniform' here")
-    if not inst.uniform:
-        raise NonUniformError("uniform solver needs uniform weights")
-    return _run(inst, cfg, max_expansions, budget_ms)
 
 
 # ----------------------------------------------------------------------------
@@ -266,10 +286,11 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
     - with an exact optimum: per-level expanded contributions are each at most
       C_opt, and the output cost is within the guaranteed factor
     """
+    cfg = trace.cfg
     lines: list[AuditLine] = []
-    cap = 3.0 if trace.mode == UNIFORM else 8.0
+    cap = 3.0 if cfg.mode == UNIFORM else 8.0
     lines.append(make_line("recursion_depth", trace.depth(),
-                           math.ceil(cap / trace.alpha)))
+                           math.ceil(cap / cfg.alpha)))
 
     by_level, greedy = trace.families()
     overlaps = 0
@@ -290,8 +311,7 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
                            trace.total_raw,
                            passed=close(decomposition, trace.total_raw)))
 
-    factor = trace.n ** (-trace.alpha / 3.0 if trace.mode == UNIFORM
-                         else -trace.alpha / 4.0)
+    factor = _contraction(trace.n, cfg)
     levels = sorted(by_level)
     top = max(levels, default=-1)
     for i in range(top + 1):
@@ -309,11 +329,5 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
             lines.append(make_line("level_contribution", contrib,
                                    exact_c_opt * total_mass, level=str(i)))
         lines.append(make_line("fulltree_bound", trace.total_cost,
-                               _bound_rhs(trace, exact_c_opt)))
+                               approximation_factor(cfg) * float(exact_c_opt)))
     return lines
-
-
-def _bound_rhs(trace: RecursionTrace, c_opt: Number) -> float:
-    if trace.mode == UNIFORM:
-        return (9.0 + trace.eps) / trace.alpha * float(c_opt)
-    return (25.0 / trace.alpha + log2(trace.ratio_bound)) * float(c_opt)

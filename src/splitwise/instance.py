@@ -96,53 +96,7 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(b + 1 for b in iter_bits(mask))
 
 
-# ----------------------------------------------------------------------------
-# hypothesis sets
-# ----------------------------------------------------------------------------
-
-class HypothesisSet:
-    """An immutable subset of 1..n with its total weight cached.
-
-    Equality and hashing look only at (n, mask); the cached weight is derived
-    data and can be re-verified against any instance via `DTInstance.hset`.
-    """
-
-    __slots__ = ("mask", "n", "weight")
-
-    def __init__(self, mask: int, n: int, weight: Number):
-        if mask < 0 or mask >> n:
-            raise ParameterError(f"mask {mask:#x} out of range for n={n}")
-        self.mask = mask
-        self.n = n
-        self.weight = weight
-
-    def members(self) -> tuple[int, ...]:
-        return members_of(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, h: int) -> bool:
-        return 1 <= h <= self.n and (self.mask >> (h - 1)) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HypothesisSet)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
-    def __repr__(self) -> str:
-        return f"HypothesisSet({set(self.members()) or '{}'}, p={format_number(self.weight)})"
-
-
-SetLike = Union[HypothesisSet, int, Iterable[int], None]
+SetLike = Union[int, Iterable[int], None]
 
 
 # ----------------------------------------------------------------------------
@@ -230,13 +184,9 @@ class DTInstance:
         return self._full_mask
 
     def as_mask(self, H: SetLike) -> int:
-        """Normalize None / HypothesisSet / bitmask / iterable-of-ids to a bitmask."""
+        """Normalize None / bitmask / iterable-of-ids to a bitmask."""
         if H is None:
             return self._full_mask
-        if isinstance(H, HypothesisSet):
-            if H.n != self.n:
-                raise ParameterError(f"set over n={H.n} used with instance n={self.n}")
-            return H.mask
         if isinstance(H, int):
             if H < 0 or H >> self.n:
                 raise ParameterError(f"mask {H:#x} out of range for n={self.n}")
@@ -245,10 +195,6 @@ class DTInstance:
         if mask >> self.n:
             raise ParameterError(f"member id exceeds n={self.n}")
         return mask
-
-    def hset(self, H: SetLike = None) -> HypothesisSet:
-        mask = self.as_mask(H)
-        return HypothesisSet(mask, self.n, self.mask_weight(mask))
 
     def mask_num(self, mask: int):
         """Set weight in raw numerator units (int in exact mode, float otherwise).

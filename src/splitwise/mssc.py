@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import BudgetExceededError, ParameterError, StructureError
+from .errors import BudgetExceededError, FormatError, ParameterError, StructureError
 from .greedy import heavy_hypothesis, majority_parts
-from .instance import DTInstance, Number, format_number, iter_bits, parse_number
+from .instance import (DTInstance, Number, close, format_number, iter_bits,
+                       parse_number)
 from .tree import DecisionTree, NodeRecord
-
-FLOAT_IDENTITY_TOL = 1e-9
 
 # budget for the exact search: the covered-state space is bounded by
 # 2^min(#distinct nonempty sets, |universe|)
@@ -143,7 +142,6 @@ class MsscInstance:
 
     @classmethod
     def from_text(cls, text: str, *, exact: bool = True) -> "MsscInstance":
-        from .errors import FormatError
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines:
@@ -151,7 +149,10 @@ class MsscInstance:
         head = lines[0].split()
         if len(head) != 2:
             raise FormatError(f"header must be '|S| M', got {lines[0]!r}")
-        u, m = int(head[0]), int(head[1])
+        try:
+            u, m = int(head[0]), int(head[1])
+        except ValueError as exc:
+            raise FormatError(f"header must be '|S| M', got {lines[0]!r}") from exc
         if len(lines) != 2 + m:
             raise FormatError(f"expected {2 + m} content lines, found {len(lines)}")
         wtoks = lines[1].split()
@@ -164,7 +165,10 @@ class MsscInstance:
             if toks == ["-"]:
                 sets.append(frozenset())
                 continue
-            members = [int(t) for t in toks]
+            try:
+                members = [int(t) for t in toks]
+            except ValueError as exc:
+                raise FormatError(f"set {i + 1}: {exc}") from exc
             for e in members:
                 if not 1 <= e <= u:
                     raise FormatError(f"set {i + 1}: element {e} outside 1..{u}")
@@ -225,15 +229,9 @@ def mssc_cost(inst: MsscInstance, sol: OrderLike) -> Number:
         by_prefix += inst._mask_weight(full & ~covered)
         covered |= inst._set_masks[j - 1]
 
-    if inst.exact:
-        if by_cover_time != by_prefix:
-            raise StructureError(
-                f"cost formulas disagree: {by_cover_time} vs {by_prefix}"
-            )
-        return by_cover_time
-    if abs(by_cover_time - by_prefix) > FLOAT_IDENTITY_TOL * max(1.0, abs(by_prefix)):
+    if not close(by_cover_time, by_prefix):
         raise StructureError(
-            f"cost formulas disagree beyond tolerance: {by_cover_time!r} vs {by_prefix!r}"
+            f"cost formulas disagree: {by_cover_time} vs {by_prefix}"
         )
     return by_cover_time
 
@@ -249,8 +247,8 @@ def is_greedy_order(inst: MsscInstance, sol: OrderLike) -> bool:
     """True iff every pick attains the maximum remaining covered weight
     (any tie-breaking allowed), over the prefix that reaches full coverage.
 
-    Float instances compare within FLOAT_IDENTITY_TOL: mathematically tied
-    gains can differ by an ulp when summed in different orders.
+    Float instances compare with `instance.close`: mathematically tied gains
+    can differ by an ulp when summed in different orders.
     """
     order = _order_of(sol)
     full = (1 << inst.n_elements) - 1
@@ -260,10 +258,7 @@ def is_greedy_order(inst: MsscInstance, sol: OrderLike) -> bool:
             break
         best = max(inst._mask_weight(m & ~covered) for m in inst._set_masks)
         own = inst._mask_weight(inst._set_masks[j - 1] & ~covered)
-        if inst.exact:
-            if own != best:
-                return False
-        elif own < best - FLOAT_IDENTITY_TOL * max(1.0, abs(best)):
+        if own < best and not close(own, best):
             return False
         covered |= inst._set_masks[j - 1]
     return covered == full

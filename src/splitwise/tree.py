@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import FormatError, IncompleteTreeError, ParameterError, StructureError
-from .instance import DTInstance, HypothesisSet, Number, SetLike, iter_bits, members_of
+from .instance import DTInstance, Number, SetLike, iter_bits, members_of
 
 
 class TreeNode:
@@ -136,16 +136,6 @@ class DecisionTree:
 # ----------------------------------------------------------------------------
 # consistency sets
 # ----------------------------------------------------------------------------
-
-def consistent_set(tree: DecisionTree, v: int, inst: DTInstance) -> HypothesisSet:
-    """L(v) for node id v: hypotheses whose answers match every edge label on
-    the root path.
-
-    Returns the cached mask wrapped with its weight; `verify_caches` is the
-    falsifier that recomputes these from scratch.
-    """
-    return inst.hset(tree.node(v).node.mask)
-
 
 def recompute_masks(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> dict[int, int]:
     """Path-replay oracle: rebuild every L(v) from the instance alone."""
@@ -414,8 +404,11 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
         elif "test" not in o:
             raise FormatError("interior node missing 'test'")
         else:
-            test = int(o["test"])
-            kids = [(int(a), sub) for a, sub in o.get("children", [])]
+            try:
+                test = int(o["test"])
+                kids = [(int(a), sub) for a, sub in o.get("children", [])]
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"bad interior node: {exc}") from exc
         shape.append((test, parent, answer))
         for a, sub in reversed(kids):
             stack.append((sub, len(shape) - 1, a))

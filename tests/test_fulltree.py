@@ -4,7 +4,10 @@ The guarantee corpus compares against the exhaustive solver on instances small
 enough for exact optima, for several alpha values in both modes.
 """
 
+import inspect
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,6 @@ from splitwise import (
     cost,
     depth_budget,
     full_tree,
-    full_tree_uniform,
     is_complete,
     keep_greedy_threshold,
     optimal_cost,
@@ -77,6 +79,8 @@ class TestBudgets:
             FullTreeConfig(alpha=0.5, eps=0)
         with pytest.raises(ParameterError):
             FullTreeConfig(alpha=0.5, n0=1)
+        with pytest.raises(ParameterError):
+            FullTreeConfig(alpha=0.5, b=0)
 
     def test_budget_floor_at_tiny_n(self):
         cfg = FullTreeConfig(alpha=0.3)
@@ -92,14 +96,8 @@ class TestBudgets:
 def test_mode_and_ratio_gates():
     rng = random.Random(91)
     inst = random_valid_instance(rng, 5, 4, 2)          # weighted
-    ucfg = FullTreeConfig(alpha=0.5, mode="uniform")
-    gcfg = FullTreeConfig(alpha=0.5)
     with pytest.raises(NonUniformError):
-        full_tree_uniform(inst, ucfg)
-    with pytest.raises(ParameterError):
-        full_tree(inst, ucfg)                           # wrong-mode config
-    with pytest.raises(ParameterError):
-        full_tree_uniform(inst, gcfg)
+        full_tree(inst, FullTreeConfig(alpha=0.5, mode="uniform"))
     # ratio gate: actual ratio must not exceed the promise
     if inst.weight_ratio() > 1:
         with pytest.raises(ParameterError):
@@ -123,11 +121,10 @@ def test_outputs_complete_clean_trees_both_modes():
         alpha = rng.choice([0.3, 0.5, 0.8])
         if uniform:
             cfg = FullTreeConfig(alpha=alpha, mode="uniform")
-            tree, trace = full_tree_uniform(inst, cfg)
         else:
             cfg = FullTreeConfig(alpha=alpha,
                                  ratio_bound=inst.weight_ratio())
-            tree, trace = full_tree(inst, cfg)
+        tree, trace = full_tree(inst, cfg)
         assert is_complete(tree, inst), f"case {idx}"
         assert structural_problems(tree, inst) == [], f"case {idx}"
         assert cost(tree, inst).total == trace.total_cost, f"case {idx}"
@@ -142,7 +139,7 @@ def test_small_instances_take_one_call():
         inst = random_valid_instance(rng, rng.randrange(3, 10),
                                      rng.randrange(3, 6), 2, uniform=True)
         cfg = FullTreeConfig(alpha=0.5, mode="uniform")
-        tree, trace = full_tree_uniform(inst, cfg)
+        tree, trace = full_tree(inst, cfg)
         assert trace.depth() == 0
         assert trace.total_cost <= cost(build_greedy_tree(inst), inst).total
 
@@ -193,7 +190,7 @@ def test_within_guarantee_uniform_mode():
         copt = optimal_cost(inst)
         for alpha in (0.3, 0.5, 0.8):
             cfg = FullTreeConfig(alpha=alpha, mode="uniform")
-            tree, trace = full_tree_uniform(inst, cfg)
+            tree, trace = full_tree(inst, cfg)
             bound = approximation_factor(cfg) * float(copt)
             assert float(trace.total_cost) <= bound + TOL, (
                 f"case {idx} alpha={alpha}"
@@ -209,10 +206,9 @@ def test_audit_trace_full_battery():
         copt = optimal_cost(inst)
         if uniform:
             cfg = FullTreeConfig(alpha=0.5, mode="uniform")
-            tree, trace = full_tree_uniform(inst, cfg)
         else:
             cfg = FullTreeConfig(alpha=0.5, ratio_bound=inst.weight_ratio())
-            tree, trace = full_tree(inst, cfg)
+        tree, trace = full_tree(inst, cfg)
         lines = audit_trace(trace, inst, exact_c_opt=copt)
         assert all_pass(lines), (
             f"case {idx}: " + "; ".join(str(l) for l in lines if not l.passed)
@@ -227,26 +223,19 @@ def test_forced_recursion_grafts_correctly():
     of reach so every call expands) forces depth-2 multi-leaves to be
     re-solved; the grafted tree must stay complete, consistent, and
     cost-coherent."""
-    from splitwise.fulltree import _Driver
-    from splitwise import DecisionTree
     rng = random.Random(99)
+    cfg = FullTreeConfig(alpha=0.5, mode="uniform", n0=2, b=2, threshold=1e9)
     recursed = 0
     for idx in range(25):
         inst = random_valid_instance(rng, rng.randrange(6, 11),
                                      rng.randrange(3, 7), 2, uniform=True)
-        cfg = FullTreeConfig(alpha=0.5, mode="uniform", n0=2)
-        driver = _Driver(inst, cfg, b_override=2, threshold_override=1e9)
-        tree = DecisionTree(driver.solve(inst.full_mask, 0))
-        br = cost(tree, inst)
-        driver.trace.total_cost = br.total
-        driver.trace.total_raw = br.raw
+        tree, trace = full_tree(inst, cfg)
         assert is_complete(tree, inst), f"case {idx}"
         assert structural_problems(tree, inst) == [], f"case {idx}"
-        if driver.trace.depth() > 0:
+        if trace.depth() > 0:
             recursed += 1
             # budget-independent audit lines must hold even at forced budgets
-            lines = audit_trace(driver.trace, inst,
-                                exact_c_opt=optimal_cost(inst))
+            lines = audit_trace(trace, inst, exact_c_opt=optimal_cost(inst))
             keep = {"family_disjoint", "cost_decomposition",
                     "level_contribution"}
             bad = [l for l in lines if l.name in keep and not l.passed]
@@ -270,8 +259,9 @@ def test_small_weight_shortcut_fires():
         (2, 2, 1, 2, 1, 1),
     ]
     inst = DTInstance(weights, tests, 2)
-    cfg = FullTreeConfig(alpha=0.5, ratio_bound=inst.weight_ratio())
-    driver = _Driver(inst, cfg, b_override=1, threshold_override=1e9)
+    cfg = FullTreeConfig(alpha=0.5, ratio_bound=inst.weight_ratio(),
+                         b=1, threshold=1e9)
+    driver = _Driver(inst, cfg)
     from splitwise import DecisionTree
     feathers = inst.as_mask([5, 6])
     assert inst.mask_weight(feathers) == Fraction(1, 50)  # < 1/36
@@ -288,12 +278,61 @@ def test_small_weight_shortcut_fires():
     assert driver.trace.records[1].decision != GREEDY_SMALL_WEIGHT
 
 
+def test_set_budget_and_threshold_reach_the_trace():
+    rng = random.Random(100)
+    inst = random_valid_instance(rng, 8, 5, 2, uniform=True)
+    cfg = FullTreeConfig(alpha=0.5, mode="uniform", b=3, threshold=2.5)
+    tree, trace = full_tree(inst, cfg)
+    assert (trace.b, trace.threshold) == (3, 2.5)
+    assert trace.cfg is cfg
+    assert all(" threshold=2.5" in line for line in trace.lines())
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_formula_values_match_the_default_config(uniform):
+    """Setting b and threshold to their formula values changes nothing."""
+    rng = random.Random(101 + uniform)
+    for idx in range(8):
+        inst = random_valid_instance(rng, rng.randrange(4, 10),
+                                     rng.randrange(3, 6), 2, uniform=uniform)
+        if uniform:
+            base = FullTreeConfig(alpha=0.4, mode="uniform", n0=4)
+        else:
+            base = FullTreeConfig(alpha=0.4, ratio_bound=inst.weight_ratio())
+        b = depth_budget(inst.n, base)
+        pinned = replace(base, b=b,
+                         threshold=keep_greedy_threshold(inst.n, base, b))
+        t1, tr1 = full_tree(inst, base)
+        t2, tr2 = full_tree(inst, pinned)
+        assert tree_to_text(t1) == tree_to_text(t2), f"case {idx}"
+        assert tr1.lines() == tr2.lines(), f"case {idx}"
+        assert (tr1.b, tr1.threshold) == (tr2.b, tr2.threshold)
+
+
+def test_deep_recursion_does_not_use_the_interpreter_stack():
+    """b=1 on a chain instance recurses n-1 levels deep; the driver must not
+    spend stack frames per level (checked under a lowered recursion limit
+    instead of at the n where the default limit breaks)."""
+    n = 80
+    tests = [tuple(1 if h == j else 2 for h in range(n)) for j in range(n)]
+    inst = DTInstance([Fraction(1, n)] * n, tests, 2)
+    cfg = FullTreeConfig(alpha=0.5, b=1, threshold=1e9)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        tree, trace = full_tree(inst, cfg)
+    finally:
+        sys.setrecursionlimit(old)
+    assert trace.depth() == n - 2
+    assert tree.depth() == n - 1 and is_complete(tree, inst)
+
+
 def test_determinism():
     rng = random.Random(98)
     inst = random_valid_instance(rng, 8, 5, 2, uniform=True)
     cfg = FullTreeConfig(alpha=0.4, mode="uniform")
-    t1, tr1 = full_tree_uniform(inst, cfg)
-    t2, tr2 = full_tree_uniform(inst, cfg)
+    t1, tr1 = full_tree(inst, cfg)
+    t2, tr2 = full_tree(inst, cfg)
     assert tree_to_text(t1) == tree_to_text(t2)
     assert tr1.lines() == tr2.lines()
     assert tr1.total_cost == tr2.total_cost

@@ -12,6 +12,7 @@ import pytest
 
 from splitwise import (
     BudgetExceededError,
+    FormatError,
     MsscInstance,
     ParameterError,
     StructureError,
@@ -94,6 +95,15 @@ def test_text_round_trip():
     assert back.elements == (1, 2, 3)
     assert back.weights == inst.weights
     assert back.sets == inst.sets
+
+
+@pytest.mark.parametrize("text", [
+    "x 2\n1 1\n1\n2\n",
+    "2 1\n1 1\n1 y\n",
+], ids=["non-integer header", "non-integer member"])
+def test_malformed_mssc_text_rejected(text):
+    with pytest.raises(FormatError):
+        MsscInstance.from_text(text)
 
 
 def test_empty_set_is_legal_and_never_helps():

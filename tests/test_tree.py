@@ -16,7 +16,6 @@ from splitwise import (
     IncompleteTreeError,
     StructureError,
     build_greedy_tree,
-    consistent_set,
     corrupt_interior_mask,
     cost,
     depth_of,
@@ -77,15 +76,6 @@ def test_preorder_records():
     # every non-root record points at an earlier record
     for r in recs[1:]:
         assert r.parent_id is not None and r.parent_id < r.id
-
-
-def test_consistent_set_matches_cached_masks():
-    inst = quarter_instance()
-    tree = perfect_tree()
-    for rec in tree.records:
-        hs = consistent_set(tree, rec.id, inst)
-        assert hs.mask == rec.node.mask
-        assert hs.weight == inst.mask_weight(rec.node.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +245,18 @@ def test_malformed_tree_text_rejected():
     stub = DTInstance([Fraction(1, 2)] * 2, [(1, 1), (1, 2)], 2)
     with pytest.raises(StructureError):
         tree_from_text("0 0 test 1 -\n1 1 leaf 2\n", stub)
+
+
+@pytest.mark.parametrize("doc", [
+    {"test": "x"},
+    {"test": None},
+    {"test": 1, "children": [["a", {"leaf": True}]]},
+    {"test": 1, "children": [[1]]},
+    {"test": 1, "children": 5},
+])
+def test_malformed_tree_json_rejected(doc):
+    with pytest.raises(FormatError):
+        tree_from_json_obj(doc, quarter_instance())
 
 
 # ---------------------------------------------------------------------------
