@@ -22,9 +22,9 @@ from .tree import (CostBreakdown, DecisionTree, NodeRecord, TreeNode, cost,
                    leaf, recompute_masks,
                    structural_problems, tree_from_json_obj, tree_from_text,
                    tree_to_json_obj, tree_to_text, verify_caches)
-from .greedy import (SplitProfile, build_greedy_node, build_greedy_tree,
-                     greedy_choice, heavy_above, heavy_hypothesis,
-                     majority_parts, majority_split, split_profile)
+from .greedy import (build_greedy_node, build_greedy_tree, greedy_choice,
+                     heavy_above, heavy_hypothesis, majority_parts,
+                     majority_split)
 from .exact import ExactSolver, optimal_cost, optimal_tree, partial_tree
 from .mssc import (MsscInstance, MsscSolution, chain_order, induced_mssc,
                    is_greedy_order, mssc_cost, mssc_greedy, mssc_optimal)

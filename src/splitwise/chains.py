@@ -52,34 +52,24 @@ class VertexLabel:
     q: Number                   # p_heavy, or 0
 
 
+@dataclass(frozen=True)
 class VertexLabels:
     """Interior-vertex labels for one (tree, instance, delta) triple.
 
-    Mapping-like over node ids; leaves are not labeled (they carry q = 0 and
-    no split, so nothing in the analysis ever asks about them).
+    Indexed by node id; leaves are not labeled (they carry q = 0 and no
+    split, so nothing in the analysis ever asks about them).  `zero` is the
+    instance's typed zero, the start of every weight sum over the labels.
     """
 
-    __slots__ = ("delta", "s_max", "s_levels", "powers", "labels")
-
-    def __init__(self, delta: Number, s_max: float, s_levels: tuple[int, ...],
-                 powers: tuple[Number, ...], labels: dict[int, VertexLabel]):
-        self.delta = delta
-        self.s_max = s_max
-        self.s_levels = s_levels
-        self.powers = powers
-        self.labels = labels
+    delta: Number
+    s_max: float
+    s_levels: tuple[int, ...]
+    powers: tuple[Number, ...]
+    labels: dict[int, VertexLabel]
+    zero: Number
 
     def __getitem__(self, node_id: int) -> VertexLabel:
         return self.labels[node_id]
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.labels
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     def items(self):
         return self.labels.items()
@@ -93,24 +83,20 @@ class VertexLabels:
 
     def balanced_weight(self) -> Number:
         return sum((lab.weight for lab in self.labels.values() if lab.balanced),
-                   start=_zero_like(self.delta))
+                   start=self.zero)
 
     def imbalanced_weight(self) -> Number:
         return sum((lab.weight for lab in self.labels.values() if not lab.balanced),
-                   start=_zero_like(self.delta))
+                   start=self.zero)
 
     def heavy_weight(self) -> Number:
         return sum((lab.q for lab in self.labels.values()),
-                   start=_zero_like(self.delta))
+                   start=self.zero)
 
     def __repr__(self) -> str:
         imb = sum(1 for lab in self.labels.values() if not lab.balanced)
         return (f"VertexLabels(delta={self.delta}, {len(self.labels)} interior, "
                 f"{imb} imbalanced, levels 1..{len(self.s_levels)})")
-
-
-def _zero_like(delta: Number):
-    return Fraction(0) if isinstance(delta, Fraction) else 0.0
 
 
 def _level_range(delta: Number, p_min: Number):
@@ -168,10 +154,7 @@ def classify_vertices(tree: DecisionTree, inst: DTInstance,
     """
     if not 0 < delta < 1:
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
-    if inst.exact and not isinstance(delta, Fraction):
-        delta = Fraction(delta)
-    elif not inst.exact:
-        delta = float(delta)
+    delta = inst.as_number(delta)
     p_min = inst.p_min
     if p_min <= 0:
         raise ParameterError("classification needs positive weights")
@@ -180,8 +163,7 @@ def classify_vertices(tree: DecisionTree, inst: DTInstance,
         raise ParameterError("not a greedy tree: " + bad[0])
 
     s_levels, powers = _level_range(delta, p_min)
-    s_max = log2(Fraction(1) / p_min if isinstance(p_min, Fraction) else 1.0 / p_min) \
-        / log2(Fraction(1) / delta if isinstance(delta, Fraction) else 1.0 / delta)
+    s_max = log2(1 / p_min) / log2(1 / delta)
 
     labels: dict[int, VertexLabel] = {}
     for rec in tree.interior_records():
@@ -196,12 +178,12 @@ def classify_vertices(tree: DecisionTree, inst: DTInstance,
         levels = tuple(s for s, power in zip(s_levels, powers)
                        if pminus <= power and pv > 2 * power)
         h = heavy_above(inst, smask, pminus_num)
-        q = inst.weight_of(h) if h is not None else _zero_like(delta)
+        q = inst.weight_of(h) if h is not None else inst.zero
         labels[rec.id] = VertexLabel(
             node_id=rec.id, depth=rec.depth, weight=pv, minority=pminus,
             majority_answer=kplus, majority_child_id=maj_child,
             levels=levels, balanced=not levels, heavy=h, q=q)
-    return VertexLabels(delta, s_max, s_levels, powers, labels)
+    return VertexLabels(delta, s_max, s_levels, powers, labels, inst.zero)
 
 
 def label_invariant_problems(labels: VertexLabels) -> list[str]:
@@ -375,10 +357,8 @@ def theorem1_bound(n: int, p_min: Number, p_max: Number, c_opt: Number) -> float
         raise ParameterError("bound undefined for C_opt <= 1")
     if not 0 < p_min <= p_max:
         raise ParameterError("need 0 < p_min <= p_max")
-    inv = Fraction(1) / p_min if isinstance(p_min, Fraction) else 1.0 / p_min
-    ratio = p_max / p_min
     co = float(c_opt)
-    return (12.0 * log2(inv) / math.log2(co) + ln(ratio)) * co
+    return (12.0 * log2(1 / p_min) / math.log2(co) + ln(p_max / p_min)) * co
 
 
 def uniform_binary_bound(n: int, c_opt: Number) -> float:
@@ -399,9 +379,7 @@ def choose_delta(c_opt: Number | None = None, c_g: Number | None = None):
         raise ParameterError("need C_opt or C_G to choose delta")
     if basis <= 1:
         raise ParameterError("delta undefined for cost <= 1")
-    if isinstance(basis, Fraction):
-        return Fraction(1) / basis, proxy
-    return 1.0 / float(basis), proxy
+    return 1 / basis, proxy
 
 
 # ----------------------------------------------------------------------------
@@ -438,7 +416,7 @@ def entropy_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
     if labels is None:
         labels = classify_vertices(tree, inst, delta)
     lhs = labels.balanced_weight()
-    two_over = 2 / labels.delta if isinstance(labels.delta, Fraction) else 2.0 / labels.delta
+    two_over = 2 / labels.delta
     rhs = math.log2(inst.n) / log2(two_over) * float(two_over)
     return make_line("balanced_entropy", lhs, rhs)
 
@@ -466,8 +444,7 @@ def imbalanced_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
                            passed=close(bal + imb, interior)))
 
     if inst.uniform and inst.k == 2:
-        inv = 1 / labels.delta if isinstance(labels.delta, Fraction) else 1.0 / labels.delta
-        rhs_u = 4.0 * math.log2(inst.n) / log2(inv) * float(exact_c_opt)
+        rhs_u = 4.0 * math.log2(inst.n) / log2(1 / labels.delta) * float(exact_c_opt)
         lines.append(make_line("imbalanced_uniform", imb, rhs_u))
 
     rhs_w = 4.0 * labels.s_max * float(exact_c_opt + 1) + float(q_sum)
@@ -478,7 +455,7 @@ def imbalanced_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
 
     paths = heavy_paths(labels, tree, inst)
     per_h = sum((hp.q * hp.length for hp in paths.values()),
-                start=_zero_like(labels.delta))
+                start=labels.zero)
     lines.append(make_line("heavy_identity", q_sum, per_h,
                            passed=close(q_sum, per_h)))
     return lines
@@ -540,7 +517,7 @@ def chain_mssc_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
     uniform = inst.uniform
     lines = []
     for s in sorted(decomp.by_level):
-        level_total = _zero_like(labels.delta)
+        level_total = labels.zero
         level_ok = True
         for chain in decomp.chains_at(s):
             m_inst = induced_mssc(inst, tree, chain)
@@ -550,7 +527,7 @@ def chain_mssc_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
                                    passed=is_greedy_order(m_inst, sol.order),
                                    note=f"head {chain[0]}"))
             covered = sum((labels[v].weight - labels[v].q for v in chain),
-                          start=_zero_like(labels.delta))
+                          start=labels.zero)
             lines.append(make_line("chain_weight", covered, sol.cost,
                                    level=str(s), note=f"head {chain[0]}"))
             try:
@@ -590,8 +567,7 @@ def assembled_audit(tree: DecisionTree, inst: DTInstance,
     c_g = interior_weight_sum(tree, inst)
 
     ent = entropy_audit(tree, inst, delta, labels=labels)
-    inv = 1 / delta if isinstance(delta, Fraction) else 1.0 / delta
-    imb_rhs = 4.0 * math.log2(inst.n) / log2(inv) * float(exact_c_opt)
+    imb_rhs = 4.0 * math.log2(inst.n) / log2(1 / delta) * float(exact_c_opt)
     imb = labels.imbalanced_weight()
     assembled = ent.rhs + imb_rhs
     closed = uniform_binary_bound(inst.n, exact_c_opt)

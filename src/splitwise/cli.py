@@ -228,10 +228,7 @@ def _experiment_rows(args, budget):
     def row(iid, inst, algo, cost_v, kind, baseline, bound_v, ms, status="ok"):
         ratio = ""
         if cost_v is not None and baseline is not None and baseline != 0:
-            if isinstance(cost_v, Fraction) and isinstance(baseline, Fraction):
-                ratio = _fmt(cost_v / baseline, as_float)
-            else:
-                ratio = _fmt(float(cost_v) / float(baseline), as_float)
+            ratio = _fmt(cost_v / baseline, as_float)
         rows.append({
             "instance_id": iid, "n": inst.n, "m": inst.m, "K": inst.k,
             "R": _fmt(inst.weight_ratio(), as_float), "algo": algo,

@@ -15,8 +15,7 @@ solve so outer callers can reuse it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ParameterError
 from .instance import DTInstance, Number, SetLike
@@ -29,10 +28,6 @@ from .greedy import _check_restriction_valid
 class SearchStats:
     expansions: int = 0      # memo misses that enumerated candidate tests
     memo_hits: int = 0
-    started: float = field(default_factory=time.monotonic)
-
-    def elapsed_ms(self) -> float:
-        return (time.monotonic() - self.started) * 1000.0
 
 
 class ExactSolver:
@@ -59,7 +54,7 @@ class ExactSolver:
     def _solve(self, mask: int, b: int):
         """Return (f(mask, b) in raw numerator units, best test or None)."""
         if b == 0 or mask.bit_count() <= 1:
-            return (0, None) if self.inst.exact else (0.0, None)
+            return (0, None)
         key = (mask, b)
         hit = self.memo.get(key)
         if hit is not None:
@@ -104,7 +99,7 @@ class ExactSolver:
         if best is None:
             # No test splits this set: only reachable on invalid instances;
             # truncate here instead of spending budget on useless tests.
-            result = ((0, None) if inst.exact else (0.0, None))
+            result = (0, None)
         else:
             result = (best, best_j)
         self.memo[key] = result
@@ -128,11 +123,8 @@ class ExactSolver:
         mask = self.inst.as_mask(H)
         if mask == 0:
             raise ParameterError("empty hypothesis set")
-        raw = self._solve(mask, b)[0]
-        norm = self.inst.mask_num(mask)
-        if self.inst.exact:
-            return Fraction(raw, norm)
-        return raw / norm
+        to_weight = self.inst.num_to_weight
+        return to_weight(self._solve(mask, b)[0]) / to_weight(self.inst.mask_num(mask))
 
     def partial_tree(self, H: SetLike, b: int) -> DecisionTree:
         """Minimum-cost tree complete w.r.t. H up to depth b; leaves may hold

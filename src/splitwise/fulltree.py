@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NonUniformError, ParameterError, StructureError
 from .exact import ExactSolver
@@ -302,7 +301,7 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
             seen |= r.mask
     lines.append(make_line("family_disjoint", overlaps, 0))
 
-    zero = Fraction(0) if inst.exact else 0.0
+    zero = inst.zero
     decomposition = zero
     for r in trace.records:
         part = r.partial_cost if r.decision == EXPANDED else r.greedy_cost

@@ -9,24 +9,10 @@ analysis tracks down the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (InvalidInstanceError, ParameterError, StructureError,
                      UnsplittableSetError)
-from .instance import (DTInstance, Number, SetLike, iter_bits,
-                       undistinguished_pairs)
+from .instance import DTInstance, SetLike, iter_bits, undistinguished_pairs
 from .tree import DecisionTree, TreeNode, interior, leaf
-
-
-@dataclass(frozen=True)
-class SplitProfile:
-    test: int
-    part_weights: tuple[Number, ...]  # indexed by answer-1, weights over S only
-    part_masks: tuple[int, ...]
-    max_weight: Number
-    majority_answer: int
-    minority_mass: Number
-    useless: bool                      # a single answer holds all of S
 
 
 def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
@@ -62,27 +48,6 @@ def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
                     best_a, best_pm, best_num = a, pm, num
         append((best_a, best_pm, best_num))
     return out
-
-
-def split_profile(inst: DTInstance, S: SetLike, j: int) -> SplitProfile:
-    smask = inst.as_mask(S)
-    if smask == 0:
-        raise UnsplittableSetError("split profile of an empty set")
-    kplus, maj_mask, _ = majority_parts(inst, smask, (j,))[0]
-    masks = tuple(smask & am for am in inst.answer_masks(j))
-    weights = tuple(inst.mask_weight(pm) for pm in masks)
-    return SplitProfile(
-        test=j,
-        part_weights=weights,
-        part_masks=masks,
-        max_weight=weights[kplus - 1],
-        majority_answer=kplus,
-        # summed directly over the minority elements, not p(S)-majority: the
-        # subtraction form drifts by an ulp in float mode, which is enough to
-        # flip strict comparisons against element weights
-        minority_mass=inst.mask_weight(smask & ~maj_mask),
-        useless=maj_mask == smask,
-    )
 
 
 def _greedy_split(inst: DTInstance, smask: int, tests) -> tuple[int, list[int]]:

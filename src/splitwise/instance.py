@@ -6,6 +6,13 @@ plain bitmasks keyed to the instance's own indices: bit (h-1) set means
 hypothesis h is in the set.  All hot-path arithmetic runs on an integer
 numerator vector over a common denominator (exact mode) or on floats (float
 mode), chosen once at construction time.
+
+This module alone decides the number mode.  `coerce_weights` is the one rule
+(any float weight means float mode, otherwise every weight is a Fraction) and
+both `DTInstance` and `mssc.MsscInstance` apply it.  Callers never branch on
+the mode: they start sums at the instance's typed `zero`, turn raw numerator
+sums into weights with `num_to_weight`, bring outside scalars into the mode
+with `as_number`, and let arithmetic keep the operands' type.
 """
 
 from __future__ import annotations
@@ -99,6 +106,18 @@ def members_of(mask: int) -> tuple[int, ...]:
 SetLike = Union[int, Iterable[int], None]
 
 
+def coerce_weights(
+        weights: Iterable[Number]) -> tuple[tuple[Number, ...], bool, Number]:
+    """The number-mode rule: any float weight puts the whole vector in float
+    mode, otherwise every weight becomes a Fraction.  Returns the coerced
+    weight tuple, whether the mode is exact, and the mode's typed zero."""
+    ws = tuple(weights)
+    if any(isinstance(w, float) for w in ws):
+        return tuple(float(w) for w in ws), False, 0.0
+    ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in ws)
+    return ws, True, Fraction(0)
+
+
 # ----------------------------------------------------------------------------
 # instances
 # ----------------------------------------------------------------------------
@@ -106,15 +125,15 @@ SetLike = Union[int, Iterable[int], None]
 class DTInstance:
     """Immutable decision-tree instance.
 
-    `exact` is inferred from the weight types: all Fraction/int means exact
-    rational arithmetic, any float means float mode.  `norm` is the total mass
+    `exact` is inferred from the weight types by `coerce_weights`, and `zero`
+    is that mode's typed zero (Fraction(0) or 0.0).  `norm` is the total mass
     (1 for a normalized root instance; the subset mass p(H) for instances
     produced by `restrict`).  `origin[i]` maps hypothesis i+1 back to its
     1-based id in the parent instance when this instance is a restriction.
     """
 
     __slots__ = (
-        "n", "m", "k", "weights", "tests", "exact", "norm", "origin",
+        "n", "m", "k", "weights", "tests", "exact", "zero", "norm", "origin",
         "_wnum", "_wden", "_answer_masks", "_uniform", "_full_mask",
     )
 
@@ -126,14 +145,9 @@ class DTInstance:
         *,
         origin: tuple[int, ...] | None = None,
     ):
-        ws = tuple(weights)
+        ws, exact, zero = coerce_weights(weights)
         if not ws:
             raise ParameterError("instance needs at least one hypothesis")
-        exact = not any(isinstance(w, float) for w in ws)
-        if exact:
-            ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in ws)
-        else:
-            ws = tuple(float(w) for w in ws)
         n = len(ws)
 
         rows = tuple(tuple(int(a) for a in row) for row in tests)
@@ -154,8 +168,9 @@ class DTInstance:
         self.weights = ws
         self.tests = rows
         self.exact = exact
+        self.zero = zero
         self.origin = origin
-        self.norm = sum(ws, Fraction(0)) if exact else float(sum(ws))
+        self.norm = sum(ws, zero)
         self._full_mask = (1 << n) - 1
         self._uniform = all(w == ws[0] for w in ws)
 
@@ -213,7 +228,12 @@ class DTInstance:
         return total
 
     def num_to_weight(self, num) -> Number:
-        return Fraction(num, self._wden) if self.exact else num
+        """A raw numerator sum (see `mask_num`) as a weight of this mode."""
+        return Fraction(num, self._wden) if self.exact else float(num)
+
+    def as_number(self, x) -> Number:
+        """A real `x` in this instance's number type: Fraction or float."""
+        return Fraction(x) if self.exact else float(x)
 
     def mask_weight(self, mask: int) -> Number:
         return self.num_to_weight(self.mask_num(mask))
@@ -455,12 +475,7 @@ def round_weights(inst: DTInstance) -> DTInstance:
     n = inst.n
     if n < 2:
         raise ParameterError("rounding undefined for n < 2")
-    if inst.exact:
-        floor = Fraction(1, (n - 1) ** 2)
-        clamped = [max(w, floor) for w in inst.weights]
-        total = sum(clamped)
-        return DTInstance([w / total for w in clamped], inst.tests, inst.k)
-    floor_f = 1.0 / (n - 1) ** 2
-    clamped_f = [max(float(w), floor_f) for w in inst.weights]
-    total_f = float(sum(clamped_f))
-    return DTInstance([w / total_f for w in clamped_f], inst.tests, inst.k)
+    floor = inst.as_number(Fraction(1, (n - 1) ** 2))
+    clamped = [max(w, floor) for w in inst.weights]
+    total = sum(clamped, inst.zero)
+    return DTInstance([w / total for w in clamped], inst.tests, inst.k)

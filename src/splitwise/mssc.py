@@ -16,13 +16,12 @@ heavy), which is what links chain weight to MSSC cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceededError, FormatError, ParameterError, StructureError
 from .greedy import heavy_hypothesis, majority_parts
-from .instance import (DTInstance, Number, close, format_number, iter_bits,
-                       parse_number)
+from .instance import (DTInstance, Number, close, coerce_weights, format_number,
+                       iter_bits, parse_number)
 from .tree import DecisionTree, NodeRecord
 
 # budget for the exact search: the covered-state space is bounded by
@@ -38,7 +37,8 @@ class MsscInstance:
     even when empty); they are never useful and never picked.
     """
 
-    __slots__ = ("elements", "weights", "sets", "exact", "_pos", "_set_masks")
+    __slots__ = ("elements", "weights", "sets", "exact", "zero", "_pos",
+                 "_set_masks")
 
     def __init__(self, elements: Sequence[int], weights: Sequence[Number],
                  sets: Sequence[Iterable[int]]):
@@ -47,12 +47,7 @@ class MsscInstance:
             raise ParameterError("duplicate universe elements")
         if len(weights) != len(self.elements):
             raise ParameterError("one weight per universe element required")
-        self.exact = not any(isinstance(w, float) for w in weights)
-        if self.exact:
-            self.weights = tuple(w if isinstance(w, Fraction) else Fraction(w)
-                                 for w in weights)
-        else:
-            self.weights = tuple(float(w) for w in weights)
+        self.weights, self.exact, self.zero = coerce_weights(weights)
         self._pos = {e: i for i, e in enumerate(self.elements)}
         frozen = []
         masks = []
@@ -78,7 +73,7 @@ class MsscInstance:
         return len(self.sets)
 
     def total_weight(self) -> Number:
-        return sum(self.weights) if self.exact else float(sum(self.weights))
+        return sum(self.weights, self.zero)
 
     def covers_universe(self) -> bool:
         union = 0
@@ -87,7 +82,7 @@ class MsscInstance:
         return union == (1 << len(self.elements)) - 1
 
     def _mask_weight(self, mask: int) -> Number:
-        total = Fraction(0) if self.exact else 0.0
+        total = self.zero
         w = self.weights
         while mask:
             low = mask & -mask
@@ -219,12 +214,12 @@ def mssc_cost(inst: MsscInstance, sol: OrderLike) -> Number:
         missing = inst.elements[(full & ~covered).bit_length() - 1]
         raise ParameterError(f"ordering leaves element {missing} uncovered")
     by_cover_time = sum(
-        inst.weights[i] * cover_step[i] for i in range(inst.n_elements)
-    )
+        (inst.weights[i] * cover_step[i] for i in range(inst.n_elements)),
+        inst.zero)
 
     # uncovered-prefix formula
     covered = 0
-    by_prefix = Fraction(0) if inst.exact else 0.0
+    by_prefix = inst.zero
     for j in order:
         by_prefix += inst._mask_weight(full & ~covered)
         covered |= inst._set_masks[j - 1]
@@ -302,7 +297,7 @@ def mssc_optimal(inst: MsscInstance) -> MsscSolution:
                 frontier.append(t)
 
     ordered = sorted(states, key=lambda s: (s.bit_count(), s))
-    best: dict[int, Number] = {0: Fraction(0) if inst.exact else 0.0}
+    best: dict[int, Number] = {0: inst.zero}
     parent: dict[int, tuple[int, int]] = {}
     for s in ordered:
         if s not in best:

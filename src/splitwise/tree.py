@@ -21,7 +21,6 @@ the two must agree exactly in rational mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import FormatError, IncompleteTreeError, ParameterError, StructureError
@@ -229,26 +228,15 @@ def cost(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> CostBreakdo
     if hmask == 0:
         raise ParameterError("cost undefined for an empty hypothesis set")
     depths: dict[int, int] = {}
-    if inst.exact:
-        raw_num = 0
-        for i in iter_bits(hmask):
-            d = depth_of(tree, inst, i + 1)
-            depths[i + 1] = d
-            raw_num += inst._wnum[i] * d
-        norm_num = inst.mask_num(hmask)
-        if norm_num == 0:
-            raise ParameterError("cost undefined for a weight-zero hypothesis set")
-        total = Fraction(raw_num, norm_num)
-        return CostBreakdown(total, Fraction(raw_num, inst._wden), depths,
-                             Fraction(norm_num, inst._wden))
-    raw = 0.0
+    raw_num = 0
     for i in iter_bits(hmask):
         d = depth_of(tree, inst, i + 1)
         depths[i + 1] = d
-        raw += inst.weights[i] * d
-    norm = inst.mask_num(hmask)
-    if norm == 0:
+        raw_num += inst._wnum[i] * d
+    norm_num = inst.mask_num(hmask)
+    if norm_num == 0:
         raise ParameterError("cost undefined for a weight-zero hypothesis set")
+    raw, norm = inst.num_to_weight(raw_num), inst.num_to_weight(norm_num)
     return CostBreakdown(raw / norm, raw, depths, norm)
 
 
@@ -275,10 +263,8 @@ def interior_weight_sum(tree: DecisionTree, inst: DTInstance) -> Number:
     trees (both computed against the tree's own root set)."""
     if not is_complete(tree, inst, H=tree.root.mask, b=None):
         raise IncompleteTreeError("identity requires completeness")
-    if inst.exact:
-        total = sum(inst.mask_num(rec.node.mask) for rec in tree.interior_records())
-        return Fraction(total, inst._wden)
-    return float(sum(inst.mask_num(rec.node.mask) for rec in tree.interior_records()))
+    return inst.num_to_weight(
+        sum(inst.mask_num(rec.node.mask) for rec in tree.interior_records()))
 
 
 # ----------------------------------------------------------------------------
@@ -391,6 +377,13 @@ def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTr
     return DecisionTree(_attach_masks(shape, inst, inst.as_mask(H)))
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; bools and floats are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> DecisionTree:
     shape: Shape = []
     stack = [(obj, None, None)]
@@ -400,13 +393,16 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
             raise FormatError("tree nodes must be objects")
         kids = []
         if o.get("leaf"):
+            if "test" in o or "children" in o:
+                raise FormatError("leaf nodes carry no 'test' or 'children'")
             test = None
         elif "test" not in o:
             raise FormatError("interior node missing 'test'")
         else:
+            test = _json_int(o["test"], "test")
             try:
-                test = int(o["test"])
-                kids = [(int(a), sub) for a, sub in o.get("children", [])]
+                kids = [(_json_int(a, "answer"), sub)
+                        for a, sub in o.get("children", [])]
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"bad interior node: {exc}") from exc
         shape.append((test, parent, answer))

@@ -20,7 +20,6 @@ from splitwise import (
     majority_parts,
     majority_split,
     optimal_cost,
-    split_profile,
     structural_problems,
 )
 from conftest import random_valid_instance
@@ -41,22 +40,24 @@ def singleton3() -> DTInstance:
 
 def test_split_profile_fields():
     inst = singleton3()
-    prof = split_profile(inst, [1, 2, 3], 1)
-    assert prof.test == 1
-    assert prof.part_weights == (Fraction(1, 3), Fraction(2, 3))
-    assert prof.max_weight == Fraction(2, 3)
-    assert prof.majority_answer == 2
-    assert prof.minority_mass == Fraction(1, 3)
-    assert not prof.useless
+    smask = inst.as_mask([1, 2, 3])
+    kplus, maj_mask, maj_num = majority_parts(inst, smask, (1,))[0]
+    parts = tuple(inst.mask_weight(smask & am) for am in inst.answer_masks(1))
+    assert parts == (Fraction(1, 3), Fraction(2, 3))
+    assert inst.num_to_weight(maj_num) == Fraction(2, 3)
+    assert kplus == 2
+    assert inst.mask_weight(smask & ~maj_mask) == Fraction(1, 3)
+    assert maj_mask != smask
 
 
 def test_split_profile_flags_useless_test():
     inst = singleton3()
     # test 1 does not split {2,3}: both answer 2
-    prof = split_profile(inst, [2, 3], 1)
-    assert prof.useless
+    smask = inst.as_mask([2, 3])
+    _, maj_mask, maj_num = majority_parts(inst, smask, (1,))[0]
+    assert maj_mask == smask
     # the primitive reports a non-splitting test by a max-part weight of None
-    assert majority_parts(inst, inst.as_mask([2, 3]), (1,))[0][2] is None
+    assert maj_num is None
 
 
 def test_greedy_choice_minimizes_max_part():

@@ -253,6 +253,13 @@ def test_malformed_tree_text_rejected():
     {"test": 1, "children": [["a", {"leaf": True}]]},
     {"test": 1, "children": [[1]]},
     {"test": 1, "children": 5},
+    {"test": 1.7, "children": [[1, {"leaf": True}], [2, {"leaf": True}]]},
+    {"test": True, "children": [[1, {"leaf": True}], [2, {"leaf": True}]]},
+    {"test": 1, "children": [[1.0, {"leaf": True}], [2, {"leaf": True}]]},
+    {"test": 1, "children": [[True, {"leaf": True}], [2, {"leaf": True}]]},
+    {"leaf": True, "children": [[1, {"leaf": True}], [2, {"leaf": True}]]},
+    {"leaf": True, "children": [[1, "not a node"]]},
+    {"leaf": True, "test": 1},
 ])
 def test_malformed_tree_json_rejected(doc):
     with pytest.raises(FormatError):
