@@ -17,9 +17,9 @@ from .instance import (DTInstance, ValidationReport, format_number,
                        parse_number, restrict, round_weights,
                        require_valid, undistinguished_pairs,
                        validate_instance)
-from .tree import (CostBreakdown, DecisionTree, NodeRecord, TreeNode, cost,
-                   depth_of, interior, interior_weight_sum, is_complete,
-                   leaf, recompute_masks,
+from .tree import (CostBreakdown, DecisionTree, Entries, NodeRecord, TreeNode,
+                   assemble, cost, depth_of, grow, interior, interior_weight_sum,
+                   is_complete, leaf, recompute_masks,
                    structural_problems, tree_from_json_obj, tree_from_text,
                    tree_to_json_obj, tree_to_text, verify_caches)
 from .greedy import (build_greedy_node, build_greedy_tree, greedy_choice,

@@ -26,14 +26,14 @@ from .fulltree import FullTreeConfig, audit_trace, full_tree
 from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
                          gen_setcover_reduction, grid_certificate_tree,
                          grid_layout)
-from .greedy import build_greedy_tree, greedy_choice
+from .greedy import build_greedy_tree, greedy_choice, majority_parts
 from .instance import DTInstance, close, round_weights, validate_instance
 from .mssc import MsscInstance, is_greedy_order, mssc_cost, mssc_greedy, mssc_optimal
-from .report import AuditLine, make_line
+from .report import AuditLine, all_pass, make_line
 from .setcover import (greedy_cover_bound, max_set_weight, optimal_cover_size,
                        weighted_greedy_cover)
-from .tree import (DecisionTree, TreeNode, cost, interior, interior_weight_sum,
-                   is_complete, leaf, tree_to_text)
+from .tree import (DecisionTree, Entries, assemble, cost, grow,
+                   interior_weight_sum, is_complete, tree_to_text)
 
 # ----------------------------------------------------------------------------
 # battery plumbing
@@ -74,6 +74,11 @@ def _tag(line: AuditLine, tag: str) -> AuditLine:
                      line.slack, line.mandatory, note)
 
 
+def _holds(name: str, ok: bool, note: str = "") -> AuditLine:
+    """A yes/no check as a line: 1 <= 1 when `ok`, else a failing 0 <= 1."""
+    return make_line(name, int(ok), 1, passed=ok, note=note)
+
+
 def _corpus(seed: int, count: int, *, n_lo=4, n_hi=12, m_hi=10, ks=(2, 3),
             profiles=("uniform", "skew", "two-tier"), float_mode=False):
     """Seeded instance stream; skips infeasible parameter draws."""
@@ -104,18 +109,11 @@ def corrupt_interior_mask(tree: DecisionTree, which: int = 0) -> DecisionTree:
     if not targets:
         raise ParameterError("no interior node to corrupt")
     victim = targets[which % len(targets)]
-    built: list[TreeNode] = [None] * len(tree)
-    for rec in reversed(tree.records):          # children before parents
-        node = rec.node
-        if node.is_leaf:
-            built[rec.id] = leaf(node.mask)
-            continue
-        mask = node.mask
-        if rec.id == victim:
-            mask &= mask - 1   # drop the lowest member bit
-        kids = [(a, built[c]) for (a, _), c in zip(node.children, rec.child_ids)]
-        built[rec.id] = interior(node.test, kids, mask)
-    return DecisionTree(built[0])
+    entries = Entries()
+    for rec in tree.records:
+        entries.add(rec.node.test, rec.node.mask, rec.parent_id, rec.parent_answer)
+    entries.masks[victim] &= entries.masks[victim] - 1   # drop the lowest member
+    return DecisionTree(assemble(entries))
 
 
 # ----------------------------------------------------------------------------
@@ -275,9 +273,7 @@ def _family_mssc(ctx: AuditContext, seed: int, float_mode: bool) -> None:
         recomputed = mssc_cost(inst, g.order)
         ctx.add(_tag(make_line("mssc_cost_route", g.cost, recomputed,
                                passed=close(g.cost, recomputed)), tag))
-        ctx.add(_tag(make_line("mssc_greedy_order",
-                               int(is_greedy_order(inst, g)), 1,
-                               passed=is_greedy_order(inst, g)), tag))
+        ctx.add(_tag(_holds("mssc_greedy_order", is_greedy_order(inst, g)), tag))
 
 
 def _family_setcover(ctx: AuditContext, seed: int, float_mode: bool) -> None:
@@ -318,9 +314,7 @@ def _family_fulltree(ctx: AuditContext, seed: int, float_mode: bool) -> None:
             cfg = FullTreeConfig(alpha=alpha, mode="general",
                                  ratio_bound=inst.weight_ratio())
         tree, trace = full_tree(inst, cfg)
-        ctx.add(_tag(make_line("fulltree_complete",
-                               int(is_complete(tree, inst)), 1,
-                               passed=is_complete(tree, inst)), tag),
+        ctx.add(_tag(_holds("fulltree_complete", is_complete(tree, inst)), tag),
                 inst, tree)
         ctx.extend((_tag(line, tag) for line in
                     audit_trace(trace, inst, c_opt)), inst, tree)
@@ -337,9 +331,7 @@ def _family_fulltree(ctx: AuditContext, seed: int, float_mode: bool) -> None:
         for line in audit_trace(trace, inst, c_opt):
             if line.name in keep:
                 ctx.add(_tag(line, f"{tag} b=2"), inst, tree)
-        ctx.add(_tag(make_line("fulltree_complete",
-                               int(is_complete(tree, inst)), 1,
-                               passed=is_complete(tree, inst)),
+        ctx.add(_tag(_holds("fulltree_complete", is_complete(tree, inst)),
                      f"{tag} b=2"), inst, tree)
 
 
@@ -347,25 +339,23 @@ def _family_grid(ctx: AuditContext, seed: int, float_mode: bool) -> None:
     inst = gen_grid_adversarial(16, 4)
     lay = grid_layout(16, 4)
     report = validate_instance(inst)
-    ctx.add(make_line("grid_valid", int(report.ok), 1, passed=report.ok,
-                      note="; ".join(report.problems)), inst)
+    ctx.add(_holds("grid_valid", report.ok, note="; ".join(report.problems)),
+            inst)
     first = greedy_choice(inst, inst.full_mask)
     in_type4 = lay.type4_index(1) <= first <= lay.type4_index(len(lay.good_sets))
     ctx.add(make_line("grid_greedy_type4", first, None, passed=in_type4,
                       note=f"type-4 tests are {lay.type4_index(1)}.."
                            f"{lay.type4_index(len(lay.good_sets))}"), inst)
-    cert = grid_certificate_tree(lay)
-    ctx.add(make_line("grid_cert_complete", int(is_complete(cert, inst)), 1,
-                      passed=is_complete(cert, inst)), inst, cert)
+    cert = grid_certificate_tree(inst, lay)
+    ctx.add(_holds("grid_cert_complete", is_complete(cert, inst)), inst, cert)
     cert_cost = cost(cert, inst).total
     ctx.add(make_line("grid_cert_bound", cert_cost, 4 * lay.c_star),
             inst, cert)
     c_opt = optimal_cost(inst)
     ctx.add(make_line("grid_opt_le_cert", c_opt, cert_cost), inst, cert)
     degenerate = gen_grid_adversarial(16, 16)
-    ctx.add(make_line("grid_degenerate_valid",
-                      int(validate_instance(degenerate).ok), 1,
-                      passed=validate_instance(degenerate).ok), degenerate)
+    ctx.add(_holds("grid_degenerate_valid", validate_instance(degenerate).ok),
+            degenerate)
 
 
 def _family_reduction(ctx: AuditContext, seed: int, float_mode: bool) -> None:
@@ -390,25 +380,18 @@ def _family_reduction(ctx: AuditContext, seed: int, float_mode: bool) -> None:
 
 def _random_partial_tree(inst: DTInstance, rng: random.Random,
                          max_depth: int) -> DecisionTree:
-    def build(mask: int, depth: int) -> TreeNode:
+    """A tree of depth at most max_depth that splits each set on a test drawn
+    uniformly from those that split it; the rule's context is the depth."""
+    def rule(mask: int, depth: int):
         if mask.bit_count() <= 1 or depth >= max_depth:
-            return leaf(mask)
-        useful = []
-        for j in range(1, inst.m + 1):
-            parts = [mask & am for am in inst.answer_masks(j)]
-            if sum(1 for p in parts if p) >= 2:
-                useful.append((j, [p for p in parts if p]))
+            return None
+        useful = [j for j, (_, _, num) in enumerate(majority_parts(inst, mask), start=1)
+                  if num is not None]
         if not useful:
-            return leaf(mask)
-        j, parts = useful[rng.randrange(len(useful))]
-        kids = []
-        for a, am in enumerate(inst.answer_masks(j), start=1):
-            p = mask & am
-            if p:
-                kids.append((a, build(p, depth + 1)))
-        return interior(j, kids, mask)
+            return None
+        return useful[rng.randrange(len(useful))], depth + 1
 
-    return DecisionTree(build(inst.full_mask, 0))
+    return DecisionTree(grow(inst, inst.full_mask, rule, 0))
 
 
 def _family_rounding(ctx: AuditContext, seed: int, float_mode: bool) -> None:
@@ -458,7 +441,7 @@ class BatteryResult:
 
     @property
     def ok(self) -> bool:
-        return all(line.passed for line in self.lines if line.mandatory)
+        return all_pass(self.lines)
 
 
 def run_battery(seed: int = 0, only=None, float_mode: bool = False,

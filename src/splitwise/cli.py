@@ -56,11 +56,7 @@ def _budget_ms() -> float | None:
 
 
 def _fmt(x, as_float: bool) -> str:
-    if x is None:
-        return ""
-    if as_float and isinstance(x, Fraction):
-        return repr(float(x))
-    return format_number(x)
+    return "" if x is None else format_number(x, as_float)
 
 
 def _write_or_print(text: str, out: str | None) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ParameterError
 from .instance import DTInstance, Number, SetLike
-from .tree import DecisionTree, TreeNode, interior, leaf
+from .tree import DecisionTree, grow
 
 from .greedy import _check_restriction_valid
 
@@ -105,50 +105,42 @@ class ExactSolver:
         self.memo[key] = result
         return result
 
-    def _build(self, mask: int, b: int) -> TreeNode:
-        raw, j = self._solve(mask, b)
-        if j is None:
-            return leaf(mask)
-        kids = []
-        for a, am in enumerate(self.inst._answer_masks[j - 1], start=1):
-            pm = mask & am
-            if pm:
-                kids.append((a, self._build(pm, b - 1)))
-        return interior(j, kids, mask)
-
     # -- public operations ---------------------------------------------------
 
-    def partial_cost(self, H: SetLike, b: int) -> Number:
-        """C_OPT(H, b) = f(H, b) / p(H), normalized to the set's mass."""
+    def _nonempty(self, H: SetLike) -> int:
         mask = self.inst.as_mask(H)
         if mask == 0:
             raise ParameterError("empty hypothesis set")
+        return mask
+
+    def partial_cost(self, H: SetLike, b: int) -> Number:
+        """C_OPT(H, b) = f(H, b) / p(H), normalized to the set's mass."""
+        mask = self._nonempty(H)
         to_weight = self.inst.num_to_weight
         return to_weight(self._solve(mask, b)[0]) / to_weight(self.inst.mask_num(mask))
 
     def partial_tree(self, H: SetLike, b: int) -> DecisionTree:
         """Minimum-cost tree complete w.r.t. H up to depth b; leaves may hold
         several hypotheses only at depth b (or when no test splits them)."""
-        mask = self.inst.as_mask(H)
-        if mask == 0:
-            raise ParameterError("empty hypothesis set")
+        mask = self._nonempty(H)
         if b < 0:
             raise ParameterError(f"depth budget must be >= 0, got {b}")
-        return DecisionTree(self._build(mask, int(b)))
+
+        def rule(s: int, budget: int):
+            j = self._solve(s, budget)[1]
+            return None if j is None else (j, budget - 1)
+
+        return DecisionTree(grow(self.inst, mask, rule, int(b)))
 
     def optimal_tree(self, H: SetLike = None) -> DecisionTree:
         """Full optimum via b = |H| - 1 (an optimal path never revisits an
         unsplit set, so |H| - 1 edges always suffice)."""
-        mask = self.inst.as_mask(H)
-        if mask == 0:
-            raise ParameterError("empty hypothesis set")
+        mask = self._nonempty(H)
         _check_restriction_valid(self.inst, mask)
         return self.partial_tree(mask, max(mask.bit_count() - 1, 0))
 
     def optimal_cost(self, H: SetLike = None) -> Number:
-        mask = self.inst.as_mask(H)
-        if mask == 0:
-            raise ParameterError("empty hypothesis set")
+        mask = self._nonempty(H)
         _check_restriction_valid(self.inst, mask)
         return self.partial_cost(mask, max(mask.bit_count() - 1, 0))
 

@@ -39,7 +39,7 @@ from .exact import ExactSolver
 from .greedy import build_greedy_node
 from .instance import DTInstance, Number, close, log2, require_valid
 from .report import AuditLine, make_line
-from .tree import DecisionTree, TreeNode, cost, interior
+from .tree import DecisionTree, Entries, TreeNode, assemble, cost
 
 GENERAL = "general"
 UNIFORM = "uniform"
@@ -180,30 +180,35 @@ class _Driver:
     def solve(self, mask: int, level: int) -> TreeNode:
         """The output tree for `mask`.  Calls run in recursion order (an
         expanded call, then the calls on its depth-b leaves, left to right)
-        from an explicit stack and are assembled bottom-up afterwards, so a
-        small b on a deep instance cannot exhaust the interpreter stack."""
-        calls = []      # (kept root or partial tree, parent call, leaf id, grafts)
-        stack = [(mask, level, None, None)]
+        from an explicit stack.  Each call's nodes go into one entry list,
+        its root under the node whose leaf it replaces, and `assemble` builds
+        the tree, so a small b on a deep instance cannot exhaust the
+        interpreter stack."""
+        entries = Entries()
+        stack = [(mask, level, None, None)]    # (set, level, parent entry, answer)
         while stack:
-            mask, level, parent, leaf_id = stack.pop()
-            out = self._call(mask, level)
-            calls.append((out, parent, leaf_id, {}))
-            if isinstance(out, DecisionTree):
-                multi = [r for r in out.leaves() if r.node.mask.bit_count() > 1]
-                if any(r.depth != self.b for r in multi):
-                    raise StructureError(
-                        "multi-hypothesis leaf above the depth budget: "
-                        "set has no splitting test")
-                stack.extend((r.node.mask, level + 1, len(calls) - 1, r.id)
-                             for r in reversed(multi))
-        for out, parent, leaf_id, grafts in reversed(calls):
-            root = out if isinstance(out, TreeNode) else _graft(out, grafts)
-            if parent is None:
-                return root
-            calls[parent][3][leaf_id] = root
+            mask, level, parent, answer = stack.pop()
+            tree = self._call(mask, level)
+            at: list[int] = []                 # record id -> entry index
+            grafts = []
+            for rec in tree.records:
+                node = rec.node
+                edge = ((parent, answer) if rec.parent_id is None
+                        else (at[rec.parent_id], rec.parent_answer))
+                at.append(len(entries.tests))
+                if node.is_leaf and node.mask & (node.mask - 1):
+                    if rec.depth != self.b:
+                        raise StructureError(
+                            "multi-hypothesis leaf above the depth budget: "
+                            "set has no splitting test")
+                    grafts.append((node.mask, level + 1) + edge)
+                else:
+                    entries.add(node.test, node.mask, *edge)
+            stack.extend(reversed(grafts))
+        return assemble(entries)
 
-    def _call(self, mask: int, level: int) -> TreeNode | DecisionTree:
-        """Record one call: the greedy root it keeps, or its partial tree."""
+    def _call(self, mask: int, level: int) -> DecisionTree:
+        """Record one call: the greedy tree it keeps, or its partial tree."""
         g = self.greedy_tree(mask)
         gcost = cost(g, self.inst, mask).total
         weight = self.inst.mask_weight(mask)
@@ -212,27 +217,13 @@ class _Driver:
         if decision != EXPANDED:
             self.trace.records.append(CallRecord(
                 level, mask, weight, decision, gcost, None))
-            return g.root
+            return g
 
         partial = self.solver.partial_tree(mask, self.b)
         pcost = self.solver.partial_cost(mask, self.b)
         self.trace.records.append(CallRecord(
             level, mask, weight, EXPANDED, gcost, pcost))
         return partial
-
-
-def _graft(tree: DecisionTree, subtrees: dict[int, TreeNode]) -> TreeNode:
-    """`tree` with the leaves named by record id replaced, built bottom-up."""
-    built: list[TreeNode] = [None] * len(tree.records)
-    for rec in reversed(tree.records):
-        node = rec.node
-        if node.is_leaf:
-            built[rec.id] = subtrees.get(rec.id, node)
-        else:
-            built[rec.id] = interior(
-                node.test, [(a, built[c]) for (a, _), c
-                            in zip(node.children, rec.child_ids)], node.mask)
-    return built[0]
 
 
 def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,

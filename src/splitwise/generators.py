@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationError, ParameterError
-from .instance import DTInstance, Number, validate_instance
-from .tree import DecisionTree, TreeNode, interior, leaf
+from .instance import DTInstance, Number, iter_bits, validate_instance
+from .tree import DecisionTree, grow
 
 MAX_ATTEMPTS = 100
 
@@ -137,18 +137,17 @@ class GridLayout:
 def _good_sets(r: int, c_star: int) -> tuple[tuple[int, ...], ...]:
     """Recursive partition family over rows 1..r: the whole set is good, and
     each good set with r' > 1 rows splits into its 1 + floor(r'/c_star)
-    lowest-numbered rows and the rest, both good.  Preorder emission."""
+    lowest-numbered rows and the rest, both good.  The head keeps at most
+    r' - 1 rows, so a split never hands back its own set (which it would at
+    r' = 2, c_star = 2).  Preorder emission."""
     out: list[tuple[int, ...]] = []
-
-    def split(rows: tuple[int, ...]):
+    stack = [tuple(range(1, r + 1))]
+    while stack:
+        rows = stack.pop()
         out.append(rows)
-        if len(rows) <= 1:
-            return
-        head = 1 + len(rows) // c_star
-        split(rows[:head])
-        split(rows[head:])
-
-    split(tuple(range(1, r + 1)))
+        if len(rows) > 1:
+            head = min(1 + len(rows) // c_star, len(rows) - 1)
+            stack += (rows[head:], rows[:head])
     return tuple(out)
 
 
@@ -190,55 +189,30 @@ def gen_grid_adversarial(n: int, c_star: int) -> DTInstance:
     return DTInstance([Fraction(1, n)] * n, tests, 2)
 
 
-def _column_subtree(lay: GridLayout, c: int, row_set: tuple[int, ...],
-                    mask: int) -> TreeNode:
-    if len(row_set) == 1:
-        return leaf(mask)
-    for t in range(lay.row_bits + 1):
-        ones = tuple(x for x in row_set if (x >> t) & 1)
-        if 0 < len(ones) < len(row_set):
-            zeros = tuple(x for x in row_set if not (x >> t) & 1)
-            m1 = 0
-            for x in ones:
-                m1 |= 1 << ((x - 1) * lay.c_star + c - 1)
-            return interior(lay.type3_index(c, t),
-                            [(1, _column_subtree(lay, c, ones, m1)),
-                             (2, _column_subtree(lay, c, zeros, mask & ~m1))],
-                            mask)
-    raise ParameterError("row numbers not separated by their bits")
+def grid_certificate_tree(inst: DTInstance, lay: GridLayout) -> DecisionTree:
+    """The cheap strategy the grid construction guarantees, over the grid
+    instance of layout `lay`: peel the off-grid hypotheses, lowest first,
+    then walk the columns, then binary-search the row within the column.
+    Its cost certifies C_OPT <= 4 * c_star.  Every test comes from the
+    layout, never from a search of `inst`, so the certificate is complete
+    only if the instance carries the tests the layout promises."""
+    def rule(s: int, _):
+        if s & (s - 1) == 0:
+            return None
+        off = s >> lay.n_star
+        if off:
+            return lay.type1_index(lay.n_star + (off & -off).bit_length()), None
+        members = [i + 1 for i in iter_bits(s)]
+        cols = {lay.col_of(h) for h in members}
+        if len(cols) > 1:
+            return lay.type2_index(min(cols)), None
+        rows = [lay.row_of(h) for h in members]
+        # distinct rows in 1..r differ in one of the bits 0..row_bits
+        t = next(t for t in range(lay.row_bits + 1)
+                 if 0 < sum((x >> t) & 1 for x in rows) < len(rows))
+        return lay.type3_index(cols.pop(), t), None
 
-
-def grid_certificate_tree(lay: GridLayout) -> DecisionTree:
-    """The cheap strategy the grid construction guarantees: peel off-grid
-    hypotheses one by one, walk the columns, then binary-search the row
-    within the column.  Its cost certifies C_OPT <= 4 * c_star."""
-    def column_mask(c: int) -> int:
-        m = 0
-        for row in range(1, lay.r + 1):
-            m |= 1 << ((row - 1) * lay.c_star + c - 1)
-        return m
-
-    rows_all = tuple(range(1, lay.r + 1))
-    # innermost: the column chain over c = 1..c_star-1 (the last column is
-    # what remains after every other column answered "no")
-    def column_chain(c: int, mask: int) -> TreeNode:
-        cmask = mask & column_mask(c)
-        if c == lay.c_star or mask == cmask:
-            return _column_subtree(lay, c, rows_all, cmask) \
-                if lay.r > 1 else leaf(cmask)
-        sub = _column_subtree(lay, c, rows_all, cmask) if lay.r > 1 \
-            else leaf(cmask)
-        return interior(lay.type2_index(c),
-                        [(1, sub), (2, column_chain(c + 1, mask & ~cmask))],
-                        mask)
-
-    node = column_chain(1, (1 << lay.n_star) - 1)
-    for h in range(lay.n, lay.n_star, -1):
-        hbit = 1 << (h - 1)
-        below = node.mask | hbit
-        node = interior(lay.type1_index(h), [(1, leaf(hbit)), (2, node)],
-                        below)
-    return DecisionTree(node)
+    return DecisionTree(grow(inst, inst.full_mask, rule))
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import (InvalidInstanceError, ParameterError, StructureError,
                      UnsplittableSetError)
 from .instance import DTInstance, SetLike, iter_bits, undistinguished_pairs
-from .tree import DecisionTree, TreeNode, interior, leaf
+from .tree import DecisionTree, TreeNode, grow
 
 
 def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
@@ -90,40 +90,17 @@ def _check_restriction_valid(inst: DTInstance, smask: int) -> None:
 
 
 def build_greedy_node(inst: DTInstance, smask: int) -> TreeNode:
-    """Greedy subtree over a raw bitmask (no validity pre-check).
+    """Greedy subtree over a raw bitmask (no validity pre-check): `grow` with
+    the greedy split as its rule.
 
-    Iterative post-order build: chain-shaped greedy trees (singleton splits)
-    can be as deep as n, which recursion would not survive at large n.
-    Each set is scanned only with the tests that split its parent, less the
-    parent's own test: a test that does not split a set splits none of its
-    subsets.
+    The rule's context is the list of tests that split the set: a set is
+    scanned only with the tests that split its parent, less the parent's own
+    test, since a test that does not split a set splits none of its subsets.
     """
-    order: list[int] = []
-    plan: dict[int, tuple[int, list[tuple[int, int]]] | None] = {}
-    stack = [(smask, range(1, inst.m + 1))]
-    while stack:
-        s, tests = stack.pop()
-        order.append(s)
-        if s.bit_count() == 1:
-            plan[s] = None
-            continue
-        j, splitting = _greedy_split(inst, s, tests)
-        kids = [
-            (a, s & am)
-            for a, am in enumerate(inst._answer_masks[j - 1], start=1)
-            if s & am
-        ]
-        plan[s] = (j, kids)
-        stack.extend((part, splitting) for _, part in kids)
-    built: dict[int, TreeNode] = {}
-    for s in reversed(order):
-        entry = plan[s]
-        if entry is None:
-            built[s] = leaf(s)
-        else:
-            j, kids = entry
-            built[s] = interior(j, [(a, built[p]) for a, p in kids], s)
-    return built[smask]
+    def rule(s: int, tests):
+        return None if s.bit_count() == 1 else _greedy_split(inst, s, tests)
+
+    return grow(inst, smask, rule, range(1, inst.m + 1))
 
 
 def build_greedy_tree(inst: DTInstance, H: SetLike = None) -> DecisionTree:

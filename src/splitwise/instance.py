@@ -48,9 +48,12 @@ def parse_number(token: str, *, exact: bool = True) -> Number:
         raise FormatError(f"bad number {token!r}: {exc}") from exc
 
 
-def format_number(x: Number) -> str:
-    """Render a weight/cost so that parsing it back is lossless."""
+def format_number(x: Number, as_float: bool = False) -> str:
+    """Render a weight/cost so that parsing it back is lossless; `as_float`
+    prints a Fraction as the float it rounds to (the float-mode display)."""
     if isinstance(x, Fraction):
+        if as_float:
+            return repr(float(x))
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, int):
         return str(x)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .instance import format_number
 
@@ -13,12 +12,7 @@ def _render(value, as_float: bool) -> str:
         return "-"
     if isinstance(value, str):
         return value
-    if as_float and isinstance(value, Fraction):
-        return repr(float(value))
-    if isinstance(value, float) and not as_float:
-        # floats stay floats; only rationals are display-converted
-        return repr(value)
-    return format_number(value)
+    return format_number(value, as_float)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ A tree node stores its test (or None for a leaf), its children as
 hypotheses consistent with the root-to-node path.  Absent children are legal
 for answers no consistent hypothesis takes.  Depth of the root is 0.
 
+Every builder is a split rule handed to `grow`: greedy, the exact and
+depth-budgeted optimum, the rounding audit's random trees and the grid
+certificate differ only in how they pick the test at a set.  Every rebuild
+(a parsed document, the fulltree driver's spliced calls, a corrupted copy)
+goes through `assemble`, the one bottom-up loop.  No builder recurses.
+
 `DecisionTree` indexes a finished tree once, in preorder: record i holds node
 i's depth, its parent's id and answer, and the ids of its children, in the
 order of `node.children`.  Walkers use these ids instead of rebuilding child
@@ -21,7 +27,7 @@ the two must agree exactly in rational mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import FormatError, IncompleteTreeError, ParameterError, StructureError
 from .instance import DTInstance, Number, SetLike, iter_bits, members_of
@@ -61,6 +67,69 @@ def interior(test: int, children: Iterable[tuple[int, TreeNode]], mask: int) -> 
     if not kids:
         raise ParameterError("interior node needs at least one child")
     return TreeNode(test, kids, mask)
+
+
+class Entries:
+    """A tree under construction in four columns, one entry per node: test
+    (None for a leaf), set, parent's entry index (None for the root) and
+    answer on the parent edge; a parent comes before its children.  Not a
+    tuple per node: thousands of tuples freed at once stay on the tuple free
+    list and fragment the heap for whatever runs next."""
+
+    __slots__ = ("tests", "masks", "parents", "answers")
+
+    def __init__(self):
+        self.tests, self.masks, self.parents, self.answers = [], [], [], []
+
+    def add(self, test: int | None, mask: int | None, parent: int | None,
+            answer: int | None) -> int:
+        """Append one entry; returns its index."""
+        self.tests.append(test)
+        self.masks.append(mask)
+        self.parents.append(parent)
+        self.answers.append(answer)
+        return len(self.tests) - 1
+
+
+def assemble(entries: Entries) -> TreeNode:
+    """The root node of the entries, built bottom-up: a node is made once all
+    entries after it, its descendants among them, are built."""
+    tests, masks, parents, answers = (entries.tests, entries.masks,
+                                      entries.parents, entries.answers)
+    kids: dict[int, list[tuple[int, TreeNode]]] = {}
+    node = None
+    for idx in reversed(range(len(tests))):
+        test, mask, parent = tests[idx], masks[idx], parents[idx]
+        node = leaf(mask) if test is None else interior(test, kids.pop(idx, ()), mask)
+        if parent is not None:
+            kids.setdefault(parent, []).append((answers[idx], node))
+    return node
+
+
+def grow(inst: DTInstance, mask: int,
+         rule: Callable[[int, Any], tuple[int, Any] | None], ctx: Any = None) -> TreeNode:
+    """The tree `rule` makes of `mask`, built top-down from an explicit stack.
+    `rule(set, ctx)` returns None for a leaf, or the set's test and the ctx
+    of its parts: its nonempty answer sets, visited in preorder and answer
+    order (so a rule that draws random numbers draws in a fixed order).  A
+    test that leaves the set whole raises StructureError, not a loop."""
+    entries = Entries()
+    stack: list[tuple[int, int | None, int | None, Any]] = [(mask, None, None, ctx)]
+    while stack:
+        s, parent, answer, c = stack.pop()
+        choice = rule(s, c)
+        if choice is None:
+            entries.add(None, s, parent, answer)
+            continue
+        test, sub = choice
+        parts = [(a, part) for a, am in enumerate(inst.answer_masks(test), start=1)
+                 if (part := s & am)]
+        if len(parts) < 2:
+            raise StructureError(
+                f"test {test} does not split a set of size {s.bit_count()}")
+        idx = entries.add(test, s, parent, answer)
+        stack.extend((part, idx, a, sub) for a, part in reversed(parts))
+    return assemble(entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,20 +364,15 @@ def tree_to_json_obj(tree: DecisionTree) -> dict:
     return objs[0]
 
 
-# A tree shape read from a document: preorder entries (test or None for a
-# leaf, parent entry index or None for the root, answer on the parent edge).
-Shape = list[tuple[int | None, int | None, int | None]]
-
-
-def _attach_masks(shape: Shape, inst: DTInstance, root_mask: int) -> TreeNode:
-    """Check the shape against the instance, recompute every mask top-down,
-    then build the nodes bottom-up."""
-    masks: list[int] = []
-    kids: list[list[int]] = [[] for _ in shape]
-    for idx, (test, parent, answer) in enumerate(shape):
+def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> TreeNode:
+    """Check a shape read from a document (entries whose masks are still
+    None) against the instance, fill in every mask top-down, and assemble
+    the nodes."""
+    tests, masks, parents, answers = shape.tests, shape.masks, shape.parents, shape.answers
+    for idx, (test, parent, answer) in enumerate(zip(tests, parents, answers)):
         mask = root_mask
         if parent is not None:
-            ptest = shape[parent][0]
+            ptest = tests[parent]
             if ptest is None:
                 raise FormatError("leaf node with children")
             if not 1 <= answer <= inst.k:
@@ -319,28 +383,20 @@ def _attach_masks(shape: Shape, inst: DTInstance, root_mask: int) -> TreeNode:
                     f"serialized tree inconsistent with instance: empty set under "
                     f"test {ptest} answer {answer}"
                 )
-            kids[parent].append(idx)
         if test is not None:
             if not 1 <= test <= inst.m:
                 raise FormatError(f"test {test} outside 1..{inst.m}")
-            if idx + 1 == len(shape) or shape[idx + 1][1] != idx:
+            if idx + 1 == len(tests) or parents[idx + 1] != idx:
                 raise FormatError(f"interior node (test {test}) with no children")
-        masks.append(mask)
-    built: list[TreeNode] = [None] * len(shape)
-    for idx in reversed(range(len(shape))):
-        test = shape[idx][0]
-        if test is None:
-            built[idx] = leaf(masks[idx])
-        else:
-            built[idx] = interior(test, [(shape[c][2], built[c]) for c in kids[idx]],
-                                  masks[idx])
-    return built[0]
+        masks[idx] = mask
+    return assemble(shape)
 
 
 def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTree:
     """Parse the preorder text form; consistency sets are recomputed against
     `inst` (and `H` as the root set, default full)."""
-    entries: list[tuple[int, int | None, int | None]] = []  # (depth, test, parent_answer)
+    shape = Entries()
+    path: list[int] = []    # entry index of the open ancestor at each depth
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line or line.startswith("#"):
@@ -357,23 +413,18 @@ def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTr
             pans = None if ptok == "-" else int(ptok)
         except (IndexError, ValueError) as exc:
             raise FormatError(f"tree line {lineno}: {exc}") from exc
-        entries.append((depth, test, pans))
-    if not entries:
-        raise FormatError("empty tree document")
-    if entries[0][0] != 0 or entries[0][2] is not None:
-        raise FormatError("first line must be the root (depth 0, parent answer '-')")
-
-    shape: Shape = [(entries[0][1], None, None)]
-    path = [0]      # entry index of the open ancestor at each depth
-    for pos in range(1, len(entries)):
-        depth, test, pans = entries[pos]
-        if not 1 <= depth <= len(path):
+        pos = len(shape.tests)
+        if pos == 0 and (depth != 0 or pans is not None):
+            raise FormatError("first line must be the root (depth 0, parent answer '-')")
+        if pos and not 1 <= depth <= len(path):
             raise FormatError(f"dangling entries after preorder walk (at {pos})")
-        if pans is None:
+        if pos and pans is None:
             raise FormatError(f"non-root entry {pos} lacks a parent answer")
         del path[depth:]
-        shape.append((test, path[-1], pans))
+        shape.add(test, None, path[-1] if path else None, pans)
         path.append(pos)
+    if not path:
+        raise FormatError("empty tree document")
     return DecisionTree(_attach_masks(shape, inst, inst.as_mask(H)))
 
 
@@ -385,7 +436,7 @@ def _json_int(value, what: str) -> int:
 
 
 def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> DecisionTree:
-    shape: Shape = []
+    shape = Entries()
     stack = [(obj, None, None)]
     while stack:
         o, parent, answer = stack.pop()
@@ -405,7 +456,6 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
                         for a, sub in o.get("children", [])]
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"bad interior node: {exc}") from exc
-        shape.append((test, parent, answer))
-        for a, sub in reversed(kids):
-            stack.append((sub, len(shape) - 1, a))
+        idx = shape.add(test, None, parent, answer)
+        stack.extend((sub, idx, a) for a, sub in reversed(kids))
     return DecisionTree(_attach_masks(shape, inst, inst.as_mask(H)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitwise import DTInstance
+from splitwise import DTInstance, validate_instance
 from splitwise.cli import (EXIT_AUDIT, EXIT_BUDGET, EXIT_INVALID, EXIT_OK,
                            main)
 
@@ -183,6 +183,18 @@ class TestGen:
         assert rc == EXIT_OK
         inst = DTInstance.from_text(out.read_text())
         assert inst.n == 16 and inst.m == 23 and inst.uniform
+
+    def test_grid_c_star_2(self, tmp_path, capsys):
+        # the one n that c*=2 admits; its good-set family used to recurse
+        # without end
+        out = tmp_path / "grid2.txt"
+        rc = main(["gen", "grid", "--n", "16", "--c-star", "2",
+                   "--out", str(out)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        inst = DTInstance.from_text(out.read_text())
+        assert inst.n == 16 and inst.m == 25 and inst.uniform
+        assert validate_instance(inst).ok
 
     def test_reduction_reports_parameters_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "red.txt"

@@ -13,6 +13,7 @@ from splitwise import (
     ExactSolver,
     GenerationError,
     ParameterError,
+    StructureError,
     build_greedy_node,
     cost,
     gen_grid_adversarial,
@@ -25,6 +26,7 @@ from splitwise import (
     structural_problems,
     validate_instance,
 )
+from splitwise.generators import _good_sets
 
 
 # ----------------------------------------------------------------------------
@@ -108,6 +110,28 @@ class TestGrid:
         assert lay.type4_index(1) == 17
         assert lay.type4_index(7) == 23
 
+    def test_good_sets_c_star_2(self):
+        # a 2-row set splits into its two rows, never into itself
+        assert _good_sets(2, 2) == ((1, 2), (1,), (2,))
+        assert _good_sets(8, 2) == (
+            (1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5), (1, 2, 3), (1, 2),
+            (1,), (2,), (3,), (4, 5), (4,), (5,), (6, 7, 8), (6, 7), (6,),
+            (7,), (8,))
+        for r in range(1, 40):
+            for c_star in (2, 3, 5):
+                sets = _good_sets(r, c_star)
+                assert sets[0] == tuple(range(1, r + 1))
+                assert len(sets) == 2 * r - 1, (r, c_star)
+
+    def test_grid_c_star_2(self):
+        inst = gen_grid_adversarial(16, 2)
+        lay = grid_layout(16, 2)
+        assert inst.m == lay.m == 25
+        assert validate_instance(inst).ok
+        cert = grid_certificate_tree(inst, lay)
+        assert is_complete(cert, inst)
+        assert cost(cert, inst).total == 4 <= 4 * lay.c_star
+
     def test_layout_coordinates(self):
         lay = grid_layout(18, 4)
         assert lay.n_star == 16 and lay.r == 4
@@ -150,7 +174,7 @@ class TestGrid:
     def test_certificate_structure_and_cost(self):
         inst = gen_grid_adversarial(16, 4)
         lay = grid_layout(16, 4)
-        cert = grid_certificate_tree(lay)
+        cert = grid_certificate_tree(inst, lay)
         assert structural_problems(cert, inst) == []
         assert is_complete(cert, inst)
         c_cert = cost(cert, inst).total
@@ -162,16 +186,28 @@ class TestGrid:
     def test_certificate_with_offgrid_hypotheses(self):
         inst = gen_grid_adversarial(18, 4)
         lay = grid_layout(18, 4)
-        cert = grid_certificate_tree(lay)
+        cert = grid_certificate_tree(inst, lay)
         assert structural_problems(cert, inst) == []
         assert is_complete(cert, inst)
         assert cost(cert, inst).total <= 4 * lay.c_star
+
+    def test_certificate_rule_reads_the_layout_not_the_instance(self):
+        # relabel column test 1 as a copy of column test 2: a rule that
+        # searched the instance for a splitting test would route around it,
+        # the certificate must instead name the layout's test and fail
+        inst = gen_grid_adversarial(16, 4)
+        lay = grid_layout(16, 4)
+        tests = [list(inst.test_row(j)) for j in range(1, inst.m + 1)]
+        tests[lay.type2_index(1) - 1] = tests[lay.type2_index(2) - 1]
+        broken = DTInstance(inst.weights, tests, 2)
+        with pytest.raises(StructureError):
+            grid_certificate_tree(broken, lay)
 
     def test_certificate_bound_across_sizes(self):
         for n, c_star in ((16, 4), (17, 5), (32, 4), (64, 8), (40, 6)):
             inst = gen_grid_adversarial(n, c_star)
             lay = grid_layout(n, c_star)
-            cert = grid_certificate_tree(lay)
+            cert = grid_certificate_tree(inst, lay)
             assert is_complete(cert, inst), f"n={n} c*={c_star}"
             assert structural_problems(cert, inst) == [], f"n={n} c*={c_star}"
             assert cost(cert, inst).total <= 4 * c_star, f"n={n} c*={c_star}"

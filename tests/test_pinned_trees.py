@@ -14,7 +14,8 @@ from pathlib import Path
 
 from splitwise.exact import ExactSolver
 from splitwise.fulltree import FullTreeConfig, full_tree
-from splitwise.generators import gen_random, grid_certificate_tree, grid_layout
+from splitwise.generators import (gen_grid_adversarial, gen_random,
+                                  grid_certificate_tree, grid_layout)
 from splitwise.greedy import build_greedy_tree
 from splitwise.tree import tree_to_text
 
@@ -60,7 +61,8 @@ def pinned_text() -> str:
                                     full_tree(inst, cfg)[0]))
     for n, c_star in GRIDS:
         out.append(_section(f"grid certificate n={n} c*={c_star}",
-                            grid_certificate_tree(grid_layout(n, c_star))))
+                            grid_certificate_tree(gen_grid_adversarial(n, c_star),
+                                                  grid_layout(n, c_star))))
     return "".join(out)
 
 

@@ -12,13 +12,16 @@ import pytest
 from splitwise import (
     DTInstance,
     DecisionTree,
+    Entries,
     FormatError,
     IncompleteTreeError,
     StructureError,
+    assemble,
     build_greedy_tree,
     corrupt_interior_mask,
     cost,
     depth_of,
+    grow,
     interior,
     interior_weight_sum,
     is_complete,
@@ -317,3 +320,49 @@ def test_child_ids_index_the_children():
             assert tree.node(cid).parent_id == rec.id
             assert tree.child_id(rec.id, answer) == cid
     assert tree.child_id(0, inst.k + 1) is None
+
+
+# ---------------------------------------------------------------------------
+# grow and assemble
+# ---------------------------------------------------------------------------
+
+def test_grow_leaf_at_root():
+    inst = quarter_instance()
+    root = grow(inst, inst.full_mask, lambda s, ctx: None)
+    assert root.is_leaf and root.mask == inst.full_mask
+    assert len(DecisionTree(root)) == 1
+
+
+def test_grow_refuses_a_test_that_leaves_the_set_whole():
+    # test 1 answers 1 on {1, 2}: splitting that set again by test 1 would
+    # push the same set forever
+    inst = quarter_instance()
+    with pytest.raises(StructureError):
+        grow(inst, 0b0011, lambda s, ctx: (1, None))
+    with pytest.raises(StructureError):
+        grow(inst, inst.full_mask,
+             lambda s, ctx: (1, None) if s.bit_count() > 1 else None)
+
+
+def test_grow_passes_the_context_down_and_visits_in_preorder():
+    inst = quarter_instance()
+    seen = []
+
+    def rule(s, depth):
+        seen.append((s, depth))
+        return None if s.bit_count() == 1 else (1 if depth == 0 else 2, depth + 1)
+
+    tree = DecisionTree(grow(inst, inst.full_mask, rule, 0))
+    assert tree_to_text(tree) == tree_to_text(perfect_tree())
+    assert seen == [(0b1111, 0), (0b0011, 1), (0b0001, 2), (0b0010, 2),
+                    (0b1100, 1), (0b0100, 2), (0b1000, 2)]
+
+
+def test_assemble_rebuilds_records():
+    tree = perfect_tree()
+    entries = Entries()
+    for r in tree.records:
+        entries.add(r.node.test, r.node.mask, r.parent_id, r.parent_answer)
+    again = DecisionTree(assemble(entries))
+    assert tree_to_text(again) == tree_to_text(tree)
+    assert [r.node.mask for r in again.records] == [r.node.mask for r in tree.records]
