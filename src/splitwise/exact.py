@@ -1,24 +1,65 @@
-"""Exhaustive minimum-cost search: depth-budgeted partial trees and full
-optimal trees.
+"""Exhaustive minimum-cost search by branch and bound: depth-budgeted partial
+trees and full optimal trees.
 
-The recurrence over a hypothesis set H with remaining budget b is
+Recurrence.  Over a hypothesis set H with remaining depth budget b,
 
     f(H, b) = 0                                        if |H| <= 1 or b = 0
     f(H, b) = min_j [ p(H) + sum_k f(H ∩ τ_j^{-1}(k), b-1) ]   otherwise,
 
-where f is the unnormalized cost sum Σ_h p_h·d(h) and j ranges over tests that
-actually split H, deduplicated by the partition they induce.  Results are
-memoized on (set bitmask, b); the table is shared across a whole recursive
-solve so outer callers can reuse it.
+where f is the unnormalized cost sum Σ_h p_h·d(h) in raw numerator units
+(`DTInstance.mask_num`) and j ranges over tests that actually split H,
+deduplicated by the partition they induce.  A set that no test splits (only
+on an instance with undistinguished pairs) costs 0: the search truncates
+there.  The chosen test is the lowest-index j of minimum cost.
+
+Memo key.  Every part of a split is strictly smaller than its set, so along a
+path the set shrinks by one or more per level and a budget b >= |H| - 1 never
+binds: f(H, b) = f(H, |H| - 1), with the same test.  Results are memoized on
+(set bitmask, min(b, |H| - 1)); the table is shared across a whole solve so
+outer callers can reuse it.
+
+Bounds.  LB(H, b) <= f(H, b), for a normalized b:
+
+- b = |H| - 1 (full depth): a complete tree sends each member of H to its own
+  leaf and has at most K children per node, so it is a K-ary prefix code for
+  H and costs at least the K-ary Huffman cost of H's weights.
+- b < |H| - 1 (truncated): f(H, b) sums, over levels l < b, the weight of the
+  hypotheses that sit in interior nodes at depth l.  The nodes at depth l
+  and the leaves above it number at most K^l and split H between them; when
+  |H| > K^l one of them holds two or more hypotheses and is interior, so at
+  most K^l - 1 hypotheses are resolved by then and the level still carries
+  at least p(H) minus the K^l - 1 heaviest weights.
+
+On uniform weights both bounds are closed forms in O(log |H|) steps.  Both
+assume that every set of two or more splits; on an instance with
+undistinguished pairs that fails, so there every bound is 0.  A part already
+in the memo is bounded by its exact value.
+
+Search.  Each candidate test j scores p(H) + Σ LB(part).  Candidates are
+visited by (score, j).  Candidate j is skipped, or abandoned mid-sum once the
+parts solved so far plus the bounds of the rest exceed the incumbent, only
+when its bound is above the best total so far, or equal to it with j above
+the best test; it replaces the incumbent when its total is lower, or equal
+with a lower j.  That keeps the lowest-index tie rule.  Subproblems are
+solved without a ceiling handed down, so every memo entry is the exact
+f(H, b) and trees and costs equal those of the unpruned recurrence.  In float
+mode a bound and a total of the same tree round differently, so float mode
+prunes only past a relative margin REL_TOL: a bound an ulp above a tying
+total cannot change a tree.
+
+Each expansion is a generator that yields the subproblems it needs; `_solve`
+runs them from an explicit stack, so a chain-shaped optimum thousands of
+levels deep never touches the interpreter stack.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import BudgetExceededError, ParameterError
-from .instance import DTInstance, Number, SetLike
+from .instance import REL_TOL, DTInstance, Number, SetLike, iter_bits
 from .tree import DecisionTree, grow
 
 from .greedy import _check_restriction_valid
@@ -28,15 +69,16 @@ from .greedy import _check_restriction_valid
 class SearchStats:
     expansions: int = 0      # memo misses that enumerated candidate tests
     memo_hits: int = 0
+    pruned: int = 0          # candidates skipped or abandoned by the bound
 
 
 class ExactSolver:
-    """Memoized exhaustive search over one instance.
+    """Memoized branch-and-bound search over one instance.
 
     `max_expansions` bounds the number of distinct (set, budget) subproblems
-    enumerated; `budget_ms` is a wall-clock ceiling checked as expansions are
-    counted.  Either limit raises BudgetExceededError carrying the counter so
-    callers can report partial statistics.
+    enumerated; `budget_ms` is a wall-clock ceiling checked at every expansion
+    and every candidate scored.  Either limit raises BudgetExceededError
+    carrying the counter so callers can report partial statistics.
     """
 
     def __init__(self, inst: DTInstance, *, max_expansions: int | None = None,
@@ -48,25 +90,11 @@ class ExactSolver:
         self._deadline = (
             time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
         )
+        self._bounded = not inst.undistinguished()
 
-    # -- core recurrence ---------------------------------------------------
+    # -- budgets ---------------------------------------------------------------
 
-    def _solve(self, mask: int, b: int):
-        """Return (f(mask, b) in raw numerator units, best test or None)."""
-        if b == 0 or mask.bit_count() <= 1:
-            return (0, None)
-        key = (mask, b)
-        hit = self.memo.get(key)
-        if hit is not None:
-            self.stats.memo_hits += 1
-            return hit
-
-        self.stats.expansions += 1
-        if self.max_expansions is not None and self.stats.expansions > self.max_expansions:
-            raise BudgetExceededError(
-                f"exact search exceeded {self.max_expansions} expansions",
-                expansions=self.stats.expansions,
-            )
+    def _check_clock(self) -> None:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceededError(
                 f"exact search ran past its wall-clock budget "
@@ -74,57 +102,183 @@ class ExactSolver:
                 expansions=self.stats.expansions,
             )
 
+    # -- bounds ----------------------------------------------------------------
+
+    def _lower_bound(self, mask: int, b: int):
+        """LB(mask, b) in raw numerator units, for b = min(b, |mask| - 1) > 0."""
+        if not self._bounded:
+            return 0
         inst = self.inst
+        k = inst.k
+        s = mask.bit_count()
+        if inst.uniform:
+            w = inst._wnum[0]
+            if b == s - 1:
+                # Huffman on s equal weights: leaves at depths D-1 and D,
+                # D = ceil(log_K s), as many at D-1 as Kraft allows
+                depth, cap = 0, 1
+                while cap < s:
+                    depth += 1
+                    cap *= k
+                return w * (s * depth - (cap - s) // (k - 1))
+            levels, cap = 0, 1
+            for _ in range(b):
+                if cap >= s:
+                    break
+                levels += s - cap + 1
+                cap *= k
+            return w * levels
+        wn = inst._wnum
+        ws = sorted(wn[i] for i in iter_bits(mask))
+        if b == s - 1:
+            # Huffman from two ascending queues, the leaves and the merged
+            # sums (which come out ascending); zero weights pad the count so
+            # that every merge takes K.  No heapq: loading its extension
+            # module adds about 0.1 MB to the peak RSS of every process.
+            leaves = [0] * (-(s - 1) % (k - 1)) + ws
+            sums = []
+            i = j = total = 0
+            for _ in range((len(leaves) - 1) // (k - 1)):
+                merged = 0
+                for _ in range(k):
+                    if j == len(sums) or (i < len(leaves) and leaves[i] <= sums[j]):
+                        merged += leaves[i]
+                        i += 1
+                    else:
+                        merged += sums[j]
+                        j += 1
+                sums.append(merged)
+                total += merged
+            return total
+        heaviest = [0, *accumulate(reversed(ws))]   # [i]: the i heaviest
+        total, cap = 0, 1
+        for _ in range(b):
+            if cap >= s:
+                break
+            total += heaviest[s] - heaviest[cap - 1]
+            cap *= k
+        return total
+
+    # -- core recurrence ---------------------------------------------------
+
+    def _solve(self, mask: int, b: int):
+        """Return (f(mask, b) in raw numerator units, best test or None)."""
+        b = min(b, mask.bit_count() - 1)
+        if b <= 0:
+            return (0, None)
+        hit = self.memo.get((mask, b))
+        if hit is not None:
+            self.stats.memo_hits += 1
+            return hit
+        stack = [self._expand(mask, b)]
+        value = None
+        while True:
+            try:
+                need = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value[0]
+            else:
+                stack.append(self._expand(*need))
+                value = None
+
+    def _expand(self, mask: int, b: int):
+        """The search at one memo miss (mask, b), b normalized: a generator
+        that yields each subproblem (part, budget) it needs solved, is sent
+        its f, and returns (f(mask, b), best test or None) after memoizing it."""
+        stats = self.stats
+        stats.expansions += 1
+        if self.max_expansions is not None and stats.expansions > self.max_expansions:
+            raise BudgetExceededError(
+                f"exact search exceeded {self.max_expansions} expansions",
+                expansions=stats.expansions,
+            )
+        self._check_clock()
+
+        inst = self.inst
+        memo = self.memo
         p_here = inst.mask_num(mask)
-        best = None
-        best_j = None
+        timed = self._deadline is not None
+        cands = []
         seen_partitions: set[tuple[int, ...]] = set()
-        for j in range(1, inst.m + 1):
-            parts = [mask & am for am in inst._answer_masks[j - 1]]
-            parts = [pm for pm in parts if pm]
+        for j, masks in enumerate(inst._answer_masks, start=1):
+            parts = [pm for am in masks if (pm := mask & am)]
             if len(parts) <= 1:
                 continue
             pkey = tuple(sorted(parts))
             if pkey in seen_partitions:
                 continue
             seen_partitions.add(pkey)
-            total = p_here
+            if timed:
+                self._check_clock()
+            subs = []
+            score = p_here
             for pm in parts:
-                total += self._solve(pm, b - 1)[0]
-                if best is not None and total >= best:
+                pb = min(b - 1, pm.bit_count() - 1)
+                if pb <= 0:
+                    lb = 0
+                else:
+                    hit = memo.get((pm, pb))
+                    lb = hit[0] if hit is not None else self._lower_bound(pm, pb)
+                subs.append((pm, pb, lb))
+                score += lb
+            cands.append((score, j, subs))
+        cands.sort(key=lambda c: (c[0], c[1]))
+
+        best = best_j = cut = None
+        for idx, (score, j, subs) in enumerate(cands):
+            if cut is not None and (score, j) > cut:
+                stats.pruned += len(cands) - idx
+                break
+            total = p_here
+            rest = score - p_here
+            last = len(subs) - 1
+            for i, (pm, pb, lb) in enumerate(subs):
+                rest -= lb
+                if pb > 0:
+                    hit = memo.get((pm, pb))
+                    if hit is not None:
+                        stats.memo_hits += 1
+                        total += hit[0]
+                    else:
+                        total += yield (pm, pb)
+                if i < last and cut is not None and (total + rest, j) > cut:
+                    stats.pruned += 1
                     break
-            if best is None or total < best:
-                best = total
-                best_j = j
-        if best is None:
-            # No test splits this set: only reachable on invalid instances;
-            # truncate here instead of spending budget on useless tests.
-            result = (0, None)
-        else:
-            result = (best, best_j)
-        self.memo[key] = result
+            else:
+                if best is None or (total, j) < (best, best_j):
+                    best, best_j = total, j
+                    # exact: prune past (best, best_j); float: past the margin
+                    cut = ((best, best_j) if inst.exact
+                           else (best + best * REL_TOL, inst.m + 1))
+        # No test splits this set: only reachable on invalid instances;
+        # truncate here instead of spending budget on useless tests.
+        result = (0, None) if best is None else (best, best_j)
+        memo[(mask, b)] = result
         return result
 
     # -- public operations ---------------------------------------------------
 
-    def _nonempty(self, H: SetLike) -> int:
+    def _nonempty(self, H: SetLike, b: int = 0) -> int:
         mask = self.inst.as_mask(H)
         if mask == 0:
             raise ParameterError("empty hypothesis set")
+        if b < 0:
+            raise ParameterError(f"depth budget must be >= 0, got {b}")
         return mask
 
     def partial_cost(self, H: SetLike, b: int) -> Number:
         """C_OPT(H, b) = f(H, b) / p(H), normalized to the set's mass."""
-        mask = self._nonempty(H)
+        mask = self._nonempty(H, b)
         to_weight = self.inst.num_to_weight
         return to_weight(self._solve(mask, b)[0]) / to_weight(self.inst.mask_num(mask))
 
     def partial_tree(self, H: SetLike, b: int) -> DecisionTree:
         """Minimum-cost tree complete w.r.t. H up to depth b; leaves may hold
         several hypotheses only at depth b (or when no test splits them)."""
-        mask = self._nonempty(H)
-        if b < 0:
-            raise ParameterError(f"depth budget must be >= 0, got {b}")
+        mask = self._nonempty(H, b)
 
         def rule(s: int, budget: int):
             j = self._solve(s, budget)[1]

@@ -81,7 +81,11 @@ def greedy_choice(inst: DTInstance, S: SetLike) -> int:
 
 
 def _check_restriction_valid(inst: DTInstance, smask: int) -> None:
-    pair = next(undistinguished_pairs(inst, smask), None)
+    pairs = inst.undistinguished()
+    if not pairs:
+        return      # a valid full set makes every subset valid
+    pair = (pairs[0] if smask == inst.full_mask
+            else next(undistinguished_pairs(inst, smask), None))
     if pair is not None:
         raise InvalidInstanceError(
             f"hypotheses {pair[0]} and {pair[1]} are undistinguished",

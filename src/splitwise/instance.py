@@ -138,6 +138,7 @@ class DTInstance:
     __slots__ = (
         "n", "m", "k", "weights", "tests", "exact", "zero", "norm", "origin",
         "_wnum", "_wden", "_answer_masks", "_uniform", "_full_mask",
+        "_undistinguished",
     )
 
     def __init__(
@@ -194,6 +195,7 @@ class DTInstance:
                 per[a - 1] |= 1 << i
             amasks.append(tuple(per))
         self._answer_masks = tuple(amasks)
+        self._undistinguished = None
 
     # -- hypothesis sets ------------------------------------------------
 
@@ -245,6 +247,14 @@ class DTInstance:
         if not 1 <= h <= self.n:
             raise ParameterError(f"hypothesis {h} outside 1..{self.n}")
         return self.weights[h - 1]
+
+    def undistinguished(self) -> tuple[tuple[int, int], ...]:
+        """The undistinguished pairs of the full set (`undistinguished_pairs`),
+        scanned once per instance.  An empty tuple means every subset is
+        valid too."""
+        if self._undistinguished is None:
+            self._undistinguished = tuple(undistinguished_pairs(self, self._full_mask))
+        return self._undistinguished
 
     @property
     def uniform(self) -> bool:
@@ -401,14 +411,14 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
         elif abs(total - 1.0) > FLOAT_SUM_TOL:
             problems.append(f"weights sum to {total!r}, |sum-1| > {FLOAT_SUM_TOL}")
 
-    pairs = list(undistinguished_pairs(inst, inst.full_mask))
+    pairs = inst.undistinguished()
     if pairs:
         problems.append(
             "undistinguished hypothesis pairs: " + ", ".join(map(str, pairs))
         )
 
     return ValidationReport(ok=not problems, problems=tuple(problems),
-                            undistinguished=tuple(pairs))
+                            undistinguished=pairs)
 
 
 def undistinguished_pairs(inst: DTInstance, mask: int) -> Iterator[tuple[int, int]]:

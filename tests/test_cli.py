@@ -145,6 +145,18 @@ class TestSolve:
         assert rc == EXIT_BUDGET
         assert "budget exceeded" in err
 
+    def test_deep_chain_exact_exits_3(self, tmp_path, capsys, monkeypatch):
+        """n=1200, one singleton test per hypothesis: the exact search
+        descends a chain 1,199 levels deep and must stop at the budget."""
+        n = 1200
+        tests = [tuple(1 if h == j else 2 for h in range(n)) for j in range(n)]
+        path = write_instance(tmp_path, "chain.txt",
+                              DTInstance([Fraction(1, n)] * n, tests, 2).to_text())
+        monkeypatch.setenv("SPLITWISE_BUDGET_MS", "1000")
+        rc = main(["solve", path, "--algo", "exact"])
+        assert rc == EXIT_BUDGET
+        assert "budget exceeded" in capsys.readouterr().err
+
     def test_bad_budget_env_exits_2(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, "singleton3.txt", singleton3_text())
         monkeypatch.setenv("SPLITWISE_BUDGET_MS", "soon")

@@ -12,15 +12,20 @@ import pytest
 
 from splitwise import (
     BudgetExceededError,
+    DecisionTree,
     DTInstance,
     ExactSolver,
     build_greedy_tree,
     cost,
+    gen_grid_adversarial,
+    gen_random,
+    grow,
     is_complete,
     optimal_cost,
     optimal_tree,
     partial_tree,
     structural_problems,
+    tree_to_text,
 )
 from conftest import random_valid_instance
 
@@ -243,3 +248,178 @@ def test_results_deterministic_across_solvers():
         a = tree_to_text(ExactSolver(inst).optimal_tree())
         b = tree_to_text(ExactSolver(inst).optimal_tree())
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# branch and bound against the unpruned recurrence
+# ---------------------------------------------------------------------------
+
+class UnprunedSolver:
+    """The memoized recurrence without bounds: memo on the raw (mask, b), a
+    scan in test order whose only cut is a running total reaching the best,
+    ties to the lowest test index.  Recursive; fine at n <= 16."""
+
+    def __init__(self, inst: DTInstance):
+        self.inst = inst
+        self.memo = {}
+
+    def solve(self, mask: int, b: int):
+        if b == 0 or mask.bit_count() <= 1:
+            return (0, None)
+        key = (mask, b)
+        if key in self.memo:
+            return self.memo[key]
+        inst = self.inst
+        p_here = inst.mask_num(mask)
+        best = best_j = None
+        seen = set()
+        for j in range(1, inst.m + 1):
+            parts = [mask & am for am in inst.answer_masks(j)]
+            parts = [pm for pm in parts if pm]
+            if len(parts) <= 1:
+                continue
+            pkey = tuple(sorted(parts))
+            if pkey in seen:
+                continue
+            seen.add(pkey)
+            total = p_here
+            for pm in parts:
+                total += self.solve(pm, b - 1)[0]
+                if best is not None and total >= best:
+                    break
+            if best is None or total < best:
+                best, best_j = total, j
+        result = (0, None) if best is None else (best, best_j)
+        self.memo[key] = result
+        return result
+
+    def tree(self, b: int):
+        def rule(s, budget):
+            j = self.solve(s, budget)[1]
+            return None if j is None else (j, budget - 1)
+        return DecisionTree(grow(self.inst, self.inst.full_mask, rule, b))
+
+
+def _undistinguished_instance(rng: random.Random, n: int, K: int) -> DTInstance:
+    """Few tests over n hypotheses: some pairs stay undistinguished."""
+    while True:
+        ws = [Fraction(rng.randrange(1, 9)) for _ in range(n)]
+        total = sum(ws)
+        tests = [tuple(rng.randrange(1, K + 1) for _ in range(n))
+                 for _ in range(rng.randrange(1, 4))]
+        inst = DTInstance([w / total for w in ws], tests, K)
+        if inst.undistinguished():
+            return inst
+
+
+def _differential_corpus():
+    rng = random.Random(51)
+    cases = [("grid16", gen_grid_adversarial(16, 4))]
+    for idx in range(36):
+        n = rng.randrange(3, 12)
+        K = rng.choice([2, 3])
+        profile = ("uniform", "skew", "two-tier")[idx % 3]
+        inst = gen_random(n, rng.randrange(6, 10), K, seed=rng.randrange(10**6),
+                          profile=profile, ratio=rng.choice([2, 8]))
+        cases.append((f"{profile} n={n} K={K}", inst))
+    for idx in range(8):
+        inst = _undistinguished_instance(rng, rng.randrange(3, 10),
+                                         rng.choice([2, 3]))
+        cases.append((f"undistinguished {idx}", inst))
+    return cases
+
+
+@pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
+def test_branch_and_bound_matches_unpruned_recurrence(float_mode):
+    """Same trees (text) and raw costs as the unpruned search, bit for bit."""
+    for name, inst in _differential_corpus():
+        if float_mode:
+            inst = inst.as_float()
+        budgets = (15,) if name == "grid16" else sorted({1, 2, 3, 4, inst.n - 1})
+        solver, oracle = ExactSolver(inst), UnprunedSolver(inst)
+        for b in budgets:
+            want_raw = oracle.solve(inst.full_mask, b)[0]
+            assert solver._solve(inst.full_mask, b)[0] == want_raw, (name, b)
+            assert (tree_to_text(solver.partial_tree(None, b))
+                    == tree_to_text(oracle.tree(b))), (name, b)
+
+
+def test_grid16_optimum_is_cheap_and_pruned():
+    """Regression guard: the unpruned search took 23,450 expansions here."""
+    solver = ExactSolver(gen_grid_adversarial(16, 4))
+    solver.optimal_cost()
+    assert solver.stats.expansions <= 300
+    assert solver.stats.pruned > 0
+
+
+def test_uniform_bounds_match_the_general_formulas():
+    """The O(log |H|) uniform closed forms equal the heap / prefix-sum bounds
+    run on the same weights, every set size and budget up to 40."""
+    for K in (2, 3, 4):
+        tests = [tuple(h % K + 1 for h in range(40))]
+        uniform = DTInstance([Fraction(1, 40)] * 40, tests, K)
+        # raw weights all 1 but for the last, which no set below contains
+        general = DTInstance([Fraction(1, 41)] * 39 + [Fraction(2, 41)], tests, K)
+        assert uniform.uniform and not general.uniform
+        a, g = ExactSolver(uniform), ExactSolver(general)
+        a._bounded = g._bounded = True      # the bounds read only the weights
+        for s in range(2, 40):
+            mask = (1 << s) - 1
+            for b in range(1, s):
+                assert a._lower_bound(mask, b) == g._lower_bound(mask, b), (K, s, b)
+
+
+def test_huffman_bound_matches_a_heap_reference():
+    """The two-queue merge is K-ary Huffman: same cost as merging the K
+    lightest from a heap, on skewed weights and every subset size."""
+    import heapq
+    rng = random.Random(52)
+    for K in (2, 3, 4):
+        ws = [rng.randrange(1, 100) for _ in range(30)]
+        inst = DTInstance([Fraction(w, sum(ws)) for w in ws], [(1,) * 30], K)
+        solver = ExactSolver(inst)
+        solver._bounded = True      # the bounds read only the weights
+        for s in range(2, 31):
+            heap = [0] * (-(s - 1) % (K - 1)) + ws[:s]
+            heapq.heapify(heap)
+            want = 0
+            while len(heap) > 1:
+                merged = sum(heapq.heappop(heap) for _ in range(K))
+                want += merged
+                heapq.heappush(heap, merged)
+            assert solver._lower_bound((1 << s) - 1, s - 1) == want, (K, s)
+
+
+def chain_instance(n: int) -> DTInstance:
+    """One singleton test per hypothesis: every tree is a chain."""
+    tests = [tuple(1 if h == j else 2 for h in range(n)) for j in range(n)]
+    return DTInstance([Fraction(1, n)] * n, tests, 2)
+
+
+def test_search_does_not_use_the_interpreter_stack():
+    """Descending a chain 250 levels deep under a recursion limit 60 frames
+    above the caller ends in the expansion budget, not RecursionError."""
+    import sys
+    inst = chain_instance(300)
+    solver = ExactSolver(inst, max_expansions=250)
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 60)
+    try:
+        with pytest.raises(BudgetExceededError):
+            solver.optimal_cost()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert solver.stats.expansions == 251
+
+
+def test_wall_clock_budget_stops_a_deep_chain():
+    import time
+    inst = chain_instance(1200)
+    inst.undistinguished()          # the validity scan is not search time
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        ExactSolver(inst, budget_ms=1000).optimal_cost()
+    assert time.monotonic() - start < 2.0

@@ -309,3 +309,24 @@ class TestRounding:
             out = round_weights(inst)
             assert abs(sum(out.weights) - 1.0) < FLOAT_TOL
             assert min(out.weights) >= 1.0 / (n * (n - 1)) - FLOAT_TOL
+
+
+def test_validity_scan_runs_once_per_instance(monkeypatch):
+    """validate, greedy and the exact search share one full-set scan."""
+    import splitwise.greedy as greedy_mod
+    import splitwise.instance as instance_mod
+    calls = []
+    original = instance_mod.undistinguished_pairs
+
+    def counted(inst, mask):
+        calls.append(mask)
+        return original(inst, mask)
+
+    monkeypatch.setattr(instance_mod, "undistinguished_pairs", counted)
+    monkeypatch.setattr(greedy_mod, "undistinguished_pairs", counted)
+    inst = DTInstance([Fraction(1, 4)] * 4, [(1, 1, 2, 2), (1, 2, 1, 2)], 2)
+    assert validate_instance(inst).ok
+    build_greedy_tree(inst)
+    optimal_tree(inst)
+    build_greedy_tree(inst, [1, 2, 3])
+    assert calls == [inst.full_mask]
