@@ -15,13 +15,13 @@ from .errors import (BudgetExceededError, FormatError, GenerationError,
 from .instance import (DTInstance, ValidationReport, format_number,
                        has_two_sided_test, iter_bits, members_of,
                        parse_number, restrict, round_weights,
-                       require_valid, undistinguished_pairs,
-                       validate_instance)
-from .tree import (CostBreakdown, DecisionTree, Entries, NodeRecord, TreeNode,
-                   assemble, cost, depth_of, grow, interior, interior_weight_sum,
-                   is_complete, leaf, recompute_masks,
-                   structural_problems, tree_from_json_obj, tree_from_text,
-                   tree_to_json_obj, tree_to_text, verify_caches)
+                       require_distinguishable, require_valid,
+                       undistinguished_pairs, validate_instance)
+from .tree import (CostBreakdown, DecisionTree, Entries, NodeRecord, cost,
+                   depth_of, grow, interior_weight_sum, is_complete,
+                   recompute_masks, structural_problems, tree_from_json_obj,
+                   tree_from_text, tree_to_json_obj, tree_to_text,
+                   verify_caches)
 from .greedy import (build_greedy_node, build_greedy_tree, greedy_choice,
                      heavy_above, heavy_hypothesis, majority_parts,
                      majority_split)

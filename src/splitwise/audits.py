@@ -21,7 +21,7 @@ from .chains import (assembled_audit, choose_delta, classify_vertices,
                      chain_mssc_audit, monotonicity_audit, theorem1_bound,
                      uniform_binary_bound)
 from .errors import GenerationError, ParameterError
-from .exact import optimal_cost, optimal_tree
+from .exact import ExactSolver, optimal_cost, optimal_tree
 from .fulltree import FullTreeConfig, audit_trace, full_tree
 from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
                          gen_setcover_reduction, grid_certificate_tree,
@@ -32,8 +32,8 @@ from .mssc import MsscInstance, is_greedy_order, mssc_cost, mssc_greedy, mssc_op
 from .report import AuditLine, all_pass, make_line
 from .setcover import (greedy_cover_bound, max_set_weight, optimal_cover_size,
                        weighted_greedy_cover)
-from .tree import (DecisionTree, Entries, assemble, cost, grow,
-                   interior_weight_sum, is_complete, tree_to_text)
+from .tree import (DecisionTree, Entries, cost, grow, interior_weight_sum,
+                   is_complete, tree_to_text)
 
 # ----------------------------------------------------------------------------
 # battery plumbing
@@ -111,9 +111,9 @@ def corrupt_interior_mask(tree: DecisionTree, which: int = 0) -> DecisionTree:
     victim = targets[which % len(targets)]
     entries = Entries()
     for rec in tree.records:
-        entries.add(rec.node.test, rec.node.mask, rec.parent_id, rec.parent_answer)
+        entries.add(rec.test, rec.mask, rec.parent_id, rec.parent_answer)
     entries.masks[victim] &= entries.masks[victim] - 1   # drop the lowest member
-    return DecisionTree(assemble(entries))
+    return DecisionTree(entries)
 
 
 # ----------------------------------------------------------------------------
@@ -306,14 +306,15 @@ def _family_setcover(ctx: AuditContext, seed: int, float_mode: bool) -> None:
 def _family_fulltree(ctx: AuditContext, seed: int, float_mode: bool) -> None:
     for tag, inst in _corpus(seed, 8, n_lo=5, n_hi=9, m_hi=7,
                              float_mode=float_mode):
-        c_opt = optimal_cost(inst)
         alpha = 0.5
         if inst.uniform:
             cfg = FullTreeConfig(alpha=alpha, mode="uniform", n0=4)
         else:
             cfg = FullTreeConfig(alpha=alpha, mode="general",
                                  ratio_bound=inst.weight_ratio())
-        tree, trace = full_tree(inst, cfg)
+        solver = ExactSolver(inst)
+        tree, trace = full_tree(inst, cfg, solver=solver)
+        c_opt = solver.optimal_cost()
         ctx.add(_tag(_holds("fulltree_complete", is_complete(tree, inst)), tag),
                 inst, tree)
         ctx.extend((_tag(line, tag) for line in
@@ -325,8 +326,9 @@ def _family_fulltree(ctx: AuditContext, seed: int, float_mode: bool) -> None:
     forced = FullTreeConfig(alpha=0.5, mode="uniform", n0=4, b=2, threshold=1e9)
     for tag, inst in _corpus(seed + 1, 6, n_lo=8, n_hi=12, m_hi=8,
                              profiles=("uniform",), float_mode=float_mode):
-        tree, trace = full_tree(inst, forced)
-        c_opt = optimal_cost(inst)
+        solver = ExactSolver(inst)
+        tree, trace = full_tree(inst, forced, solver=solver)
+        c_opt = solver.optimal_cost()
         keep = ("family_disjoint", "cost_decomposition", "level_contribution")
         for line in audit_trace(trace, inst, c_opt):
             if line.name in keep:
@@ -391,7 +393,7 @@ def _random_partial_tree(inst: DTInstance, rng: random.Random,
             return None
         return useful[rng.randrange(len(useful))], depth + 1
 
-    return DecisionTree(grow(inst, inst.full_mask, rule, 0))
+    return grow(inst, inst.full_mask, rule, 0)
 
 
 def _family_rounding(ctx: AuditContext, seed: int, float_mode: bool) -> None:

@@ -130,15 +130,15 @@ def greediness_problems(tree: DecisionTree, inst: DTInstance) -> list[str]:
     """
     problems = []
     for rec in tree.interior_records():
-        parts = majority_parts(inst, rec.node.mask)
-        own = parts[rec.node.test - 1][2]
+        parts = majority_parts(inst, rec.mask)
+        own = parts[rec.test - 1][2]
         if own is None:
-            problems.append(f"node {rec.id}: test {rec.node.test} does not split its set")
+            problems.append(f"node {rec.id}: test {rec.test} does not split its set")
             continue
         for j, (_, _, other) in enumerate(parts, start=1):
             if other is not None and other < own:
                 problems.append(
-                    f"node {rec.id}: test {j} beats test {rec.node.test} "
+                    f"node {rec.id}: test {j} beats test {rec.test} "
                     f"({other} < {own} raw max-part)")
                 break
     return problems
@@ -167,8 +167,8 @@ def classify_vertices(tree: DecisionTree, inst: DTInstance,
 
     labels: dict[int, VertexLabel] = {}
     for rec in tree.interior_records():
-        smask = rec.node.mask
-        kplus, maj_mask = majority_split(inst, smask, rec.node.test)
+        smask = rec.mask
+        kplus, maj_mask = majority_split(inst, smask, rec.test)
         maj_child = tree.child_id(rec.id, kplus)
         if maj_child is None:
             raise StructureError(f"node {rec.id} lacks a child for majority answer {kplus}")
@@ -279,8 +279,8 @@ class HeavyPath:
 def _descent_ids(tree: DecisionTree, inst: DTInstance, h: int) -> list[int]:
     path = [0]
     rec = tree.node(0)
-    while not rec.node.is_leaf:
-        nxt = tree.child_id(rec.id, inst.answer_of(rec.node.test, h))
+    while not rec.is_leaf:
+        nxt = tree.child_id(rec.id, inst.answer_of(rec.test, h))
         if nxt is None:
             break
         path.append(nxt)
@@ -301,7 +301,7 @@ def heavy_paths(labels: VertexLabels, tree: DecisionTree,
         h = i + 1
         path = _descent_ids(tree, inst, h)
         end = tree.node(path[-1])
-        if not end.node.is_leaf or end.node.mask != (1 << i):
+        if not end.is_leaf or end.mask != (1 << i):
             raise ParameterError(
                 f"hypothesis {h} is not isolated at a leaf; heavy paths need a "
                 f"complete tree")
@@ -327,7 +327,7 @@ def heavy_cover_instance(inst: DTInstance, tree: DecisionTree, top_id: int,
     unlike the majority it stays well-defined on one-element universes).
     Returns (universe tuple, weight map, sets) ready for the cover routines.
     """
-    smask = tree.node(top_id).node.mask
+    smask = tree.node(top_id).mask
     if not (smask >> (h - 1)) & 1:
         raise ParameterError(f"hypothesis {h} is not consistent at node {top_id}")
     umask = smask & ~(1 << (h - 1))
@@ -397,8 +397,8 @@ def monotonicity_audit(tree: DecisionTree, inst: DTInstance) -> AuditLine:
     child, on any edge.  Reports the number of violating edges."""
     minority: dict[int, Number] = {}
     for rec in tree.interior_records():
-        _, maj = majority_split(inst, rec.node.mask, rec.node.test)
-        minority[rec.id] = inst.mask_weight(rec.node.mask & ~maj)
+        _, maj = majority_split(inst, rec.mask, rec.test)
+        minority[rec.id] = inst.mask_weight(rec.mask & ~maj)
     bad = 0
     worst = ""
     for rec in tree.interior_records():

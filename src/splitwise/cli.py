@@ -8,7 +8,8 @@ Subcommands:
     experiment                  sweep a family and write a CSV
 
 Exit codes are a contract: 0 ok, 2 invalid input, 3 budget exceeded,
-4 audit failure.  SPLITWISE_BUDGET_MS caps solver time where supported.
+4 audit failure.  SPLITWISE_BUDGET_MS caps solver time where supported; in
+`solve --algo fulltree*` one deadline covers the driver and its C_OPT check.
 """
 
 from __future__ import annotations
@@ -77,7 +78,10 @@ def _parse_sets(spec: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        out.append(frozenset(int(tok) for tok in chunk.split(",")))
+        try:
+            out.append(frozenset(int(tok) for tok in chunk.split(",")))
+        except ValueError:
+            raise ParameterError(f"--sets {spec!r}: members must be integers")
     if not out:
         raise ParameterError("no sets given; use e.g. --sets '1,2;2,3'")
     return out
@@ -137,8 +141,9 @@ def cmd_solve(args) -> int:
     else:
         if args.alpha is None:
             raise ParameterError("--alpha is required for fulltree algorithms")
+        solver = ExactSolver(inst, budget_ms=budget)
         tree, trace = full_tree(inst, _fulltree_config(inst, args),
-                                budget_ms=budget)
+                                solver=solver)
         label = "C_FULLTREE"
         total = trace.total_cost
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -152,7 +157,7 @@ def cmd_solve(args) -> int:
         for line in trace.lines():
             print(line)
         try:
-            baseline = optimal_cost(inst, budget_ms=budget)
+            baseline = solver.optimal_cost()
             lines = audit_trace(trace, inst, baseline)
             bound = next(l for l in lines if l.name == "fulltree_bound")
             print(f"C_OPT={_fmt(baseline, args.float)} "
@@ -213,8 +218,10 @@ CSV_COLUMNS = ("instance_id", "n", "m", "K", "R", "algo", "cost",
 def _sizes(raw: str, default: tuple[int, ...]) -> tuple[int, ...]:
     if raw is None:
         return default
-    toks = [t for t in raw.split(",") if t.strip()]
-    return tuple(int(t) for t in toks)
+    try:
+        return tuple(int(t) for t in raw.split(",") if t.strip())
+    except ValueError:
+        raise ParameterError(f"--sizes {raw!r}: sizes must be integers")
 
 
 def _experiment_rows(args, budget):
@@ -329,7 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (gr, gg, gd):
         p.set_defaults(func=cmd_gen)
 
-    s = sub.add_parser("solve", help="solve one instance file")
+    s = sub.add_parser(
+        "solve", help="solve one instance file",
+        description="SPLITWISE_BUDGET_MS caps the exact search in wall-clock "
+                    "milliseconds.  For the fulltree algorithms one deadline "
+                    "covers the driver and its C_OPT check together.")
     s.add_argument("instance")
     s.add_argument("--algo", choices=ALGOS, default="greedy")
     s.add_argument("--alpha", type=float)
@@ -379,7 +390,7 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (FormatError, InvalidInstanceError, ParameterError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SplitwiseError as exc:

@@ -59,10 +59,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import BudgetExceededError, ParameterError
-from .instance import REL_TOL, DTInstance, Number, SetLike, iter_bits
+from .instance import (REL_TOL, DTInstance, Number, SetLike, iter_bits,
+                       require_distinguishable)
 from .tree import DecisionTree, grow
-
-from .greedy import _check_restriction_valid
 
 
 @dataclass
@@ -284,18 +283,18 @@ class ExactSolver:
             j = self._solve(s, budget)[1]
             return None if j is None else (j, budget - 1)
 
-        return DecisionTree(grow(self.inst, mask, rule, int(b)))
+        return grow(self.inst, mask, rule, int(b))
 
     def optimal_tree(self, H: SetLike = None) -> DecisionTree:
         """Full optimum via b = |H| - 1 (an optimal path never revisits an
         unsplit set, so |H| - 1 edges always suffice)."""
         mask = self._nonempty(H)
-        _check_restriction_valid(self.inst, mask)
+        require_distinguishable(self.inst, mask)
         return self.partial_tree(mask, max(mask.bit_count() - 1, 0))
 
     def optimal_cost(self, H: SetLike = None) -> Number:
         mask = self._nonempty(H)
-        _check_restriction_valid(self.inst, mask)
+        require_distinguishable(self.inst, mask)
         return self.partial_cost(mask, max(mask.bit_count() - 1, 0))
 
 

@@ -39,7 +39,7 @@ from .exact import ExactSolver
 from .greedy import build_greedy_node
 from .instance import DTInstance, Number, close, log2, require_valid
 from .report import AuditLine, make_line
-from .tree import DecisionTree, Entries, TreeNode, assemble, cost
+from .tree import DecisionTree, Entries, cost
 
 GENERAL = "general"
 UNIFORM = "uniform"
@@ -155,8 +155,7 @@ class RecursionTrace:
 
 class _Driver:
     def __init__(self, inst: DTInstance, cfg: FullTreeConfig,
-                 max_expansions: int | None = None,
-                 budget_ms: float | None = None):
+                 solver: ExactSolver | None = None):
         self.inst = inst
         self.cfg = cfg
         self.n = inst.n
@@ -164,8 +163,9 @@ class _Driver:
         self.threshold = (keep_greedy_threshold(inst.n, cfg, self.b)
                           if cfg.threshold is None else cfg.threshold)
         self.total_num = inst.mask_num(inst.full_mask)
-        self.solver = ExactSolver(inst, max_expansions=max_expansions,
-                                  budget_ms=budget_ms)
+        if solver is not None and solver.inst is not inst:
+            raise ParameterError("the exact solver belongs to another instance")
+        self.solver = ExactSolver(inst) if solver is None else solver
         self.trace = RecursionTrace(cfg, inst.n, self.b, self.threshold)
 
     def _is_small(self, mask: int) -> bool:
@@ -175,15 +175,15 @@ class _Driver:
     def greedy_tree(self, mask: int) -> DecisionTree:
         if (self.cfg.mode == UNIFORM and mask.bit_count() < self.cfg.n0):
             return self.solver.partial_tree(mask, max(mask.bit_count() - 1, 0))
-        return DecisionTree(build_greedy_node(self.inst, mask))
+        return build_greedy_node(self.inst, mask)
 
-    def solve(self, mask: int, level: int) -> TreeNode:
+    def solve(self, mask: int, level: int) -> DecisionTree:
         """The output tree for `mask`.  Calls run in recursion order (an
         expanded call, then the calls on its depth-b leaves, left to right)
         from an explicit stack.  Each call's nodes go into one entry list,
-        its root under the node whose leaf it replaces, and `assemble` builds
-        the tree, so a small b on a deep instance cannot exhaust the
-        interpreter stack."""
+        its root under the node whose leaf it replaces, after that node's
+        other children; `DecisionTree` indexes them in preorder, so a small b
+        on a deep instance cannot exhaust the interpreter stack."""
         entries = Entries()
         stack = [(mask, level, None, None)]    # (set, level, parent entry, answer)
         while stack:
@@ -192,20 +192,19 @@ class _Driver:
             at: list[int] = []                 # record id -> entry index
             grafts = []
             for rec in tree.records:
-                node = rec.node
                 edge = ((parent, answer) if rec.parent_id is None
                         else (at[rec.parent_id], rec.parent_answer))
                 at.append(len(entries.tests))
-                if node.is_leaf and node.mask & (node.mask - 1):
+                if rec.is_leaf and rec.mask & (rec.mask - 1):
                     if rec.depth != self.b:
                         raise StructureError(
                             "multi-hypothesis leaf above the depth budget: "
                             "set has no splitting test")
-                    grafts.append((node.mask, level + 1) + edge)
+                    grafts.append((rec.mask, level + 1) + edge)
                 else:
-                    entries.add(node.test, node.mask, *edge)
+                    entries.add(rec.test, rec.mask, *edge)
             stack.extend(reversed(grafts))
-        return assemble(entries)
+        return DecisionTree(entries)
 
     def _call(self, mask: int, level: int) -> DecisionTree:
         """Record one call: the greedy tree it keeps, or its partial tree."""
@@ -227,9 +226,13 @@ class _Driver:
 
 
 def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,
-              max_expansions: int | None = None,
-              budget_ms: float | None = None):
+              solver: ExactSolver | None = None):
     """Run the solver in the config's mode; returns (tree, trace).
+
+    `solver` is the ExactSolver of `inst` that the expansions run on (a
+    fresh one by default).  A caller that passes its own keeps the memo, so
+    a later `solver.optimal_cost()` reuses the driver's subproblems, and
+    the solver's budgets bound the driver and that call together.
 
     Uniform mode needs uniform weights.  General mode errors out before
     solving if the instance's actual weight ratio exceeds the promised
@@ -243,8 +246,8 @@ def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,
             f"weight ratio {inst.weight_ratio()} exceeds the promised bound "
             f"{cfg.ratio_bound}")
     require_valid(inst)
-    driver = _Driver(inst, cfg, max_expansions, budget_ms)
-    tree = DecisionTree(driver.solve(inst.full_mask, 0))
+    driver = _Driver(inst, cfg, solver)
+    tree = driver.solve(inst.full_mask, 0)
     breakdown = cost(tree, inst)
     driver.trace.total_cost = breakdown.total
     driver.trace.total_raw = breakdown.raw

@@ -212,7 +212,7 @@ def grid_certificate_tree(inst: DTInstance, lay: GridLayout) -> DecisionTree:
                  if 0 < sum((x >> t) & 1 for x in rows) < len(rows))
         return lay.type3_index(cols.pop(), t), None
 
-    return DecisionTree(grow(inst, inst.full_mask, rule))
+    return grow(inst, inst.full_mask, rule)
 
 
 # ----------------------------------------------------------------------------

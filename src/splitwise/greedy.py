@@ -9,10 +9,9 @@ analysis tracks down the tree.
 
 from __future__ import annotations
 
-from .errors import (InvalidInstanceError, ParameterError, StructureError,
-                     UnsplittableSetError)
-from .instance import DTInstance, SetLike, iter_bits, undistinguished_pairs
-from .tree import DecisionTree, TreeNode, grow
+from .errors import ParameterError, StructureError, UnsplittableSetError
+from .instance import DTInstance, SetLike, iter_bits, require_distinguishable
+from .tree import DecisionTree, grow
 
 
 def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
@@ -80,20 +79,7 @@ def greedy_choice(inst: DTInstance, S: SetLike) -> int:
     return _greedy_split(inst, smask, range(1, inst.m + 1))[0]
 
 
-def _check_restriction_valid(inst: DTInstance, smask: int) -> None:
-    pairs = inst.undistinguished()
-    if not pairs:
-        return      # a valid full set makes every subset valid
-    pair = (pairs[0] if smask == inst.full_mask
-            else next(undistinguished_pairs(inst, smask), None))
-    if pair is not None:
-        raise InvalidInstanceError(
-            f"hypotheses {pair[0]} and {pair[1]} are undistinguished",
-            undistinguished=pair,
-        )
-
-
-def build_greedy_node(inst: DTInstance, smask: int) -> TreeNode:
+def build_greedy_node(inst: DTInstance, smask: int) -> DecisionTree:
     """Greedy subtree over a raw bitmask (no validity pre-check): `grow` with
     the greedy split as its rule.
 
@@ -112,8 +98,8 @@ def build_greedy_tree(inst: DTInstance, H: SetLike = None) -> DecisionTree:
     smask = inst.as_mask(H)
     if smask == 0:
         raise UnsplittableSetError("cannot build a tree over the empty set")
-    _check_restriction_valid(inst, smask)
-    return DecisionTree(build_greedy_node(inst, smask))
+    require_distinguishable(inst, smask)
+    return build_greedy_node(inst, smask)
 
 
 # ----------------------------------------------------------------------------

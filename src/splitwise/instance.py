@@ -356,8 +356,11 @@ class DTInstance:
 
     @classmethod
     def from_path(cls, path, *, exact: bool = True) -> "DTInstance":
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         if text.lstrip().startswith("{"):
             try:
                 obj = json.loads(text)
@@ -444,6 +447,23 @@ def require_valid(inst: DTInstance) -> None:
     if not report.ok:
         pair = report.undistinguished[0] if report.undistinguished else None
         raise InvalidInstanceError("; ".join(report.problems), undistinguished=pair)
+
+
+def require_distinguishable(inst: DTInstance, mask: int) -> None:
+    """Raise InvalidInstanceError when no test separates some two members
+    of `mask`.  Uses the instance's cached full-set scan: a valid full set
+    makes every subset valid, and only a proper subset of an invalid one is
+    scanned again."""
+    pairs = inst.undistinguished()
+    if not pairs:
+        return
+    pair = (pairs[0] if mask == inst.full_mask
+            else next(undistinguished_pairs(inst, mask), None))
+    if pair is not None:
+        raise InvalidInstanceError(
+            f"hypotheses {pair[0]} and {pair[1]} are undistinguished",
+            undistinguished=pair,
+        )
 
 
 def has_two_sided_test(inst: DTInstance) -> bool:

@@ -338,7 +338,7 @@ def _chain_records(tree: DecisionTree, chain) -> list[NodeRecord]:
                 f"of node {above.id}"
             )
     for rec in recs:
-        if rec.node.is_leaf:
+        if rec.is_leaf:
             raise ParameterError(f"chain vertex {rec.id} is a leaf (no test)")
     return recs
 
@@ -352,7 +352,7 @@ def induced_mssc(inst: DTInstance, tree: DecisionTree, chain) -> MsscInstance:
     singletons, kept even when empty so indices line up.
     """
     recs = _chain_records(tree, chain)
-    smask = recs[0].node.mask
+    smask = recs[0].mask
     elements = [i + 1 for i in iter_bits(smask)]
     weights = [inst.weights[i] for i in iter_bits(smask)]
     sets: list[frozenset[int]] = [
@@ -373,10 +373,10 @@ def chain_order(inst: DTInstance, tree: DecisionTree, chain) -> MsscSolution:
     """
     recs = _chain_records(tree, chain)
     m_inst = induced_mssc(inst, tree, chain)
-    tests = [rec.node.test for rec in recs]
+    tests = [rec.test for rec in recs]
 
     ell0 = 0
-    heavies = [heavy_hypothesis(inst, rec.node.mask, rec.node.test)
+    heavies = [heavy_hypothesis(inst, rec.mask, rec.test)
                for rec in recs]
     for idx, h in enumerate(heavies, start=1):
         if h is None:

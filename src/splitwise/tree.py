@@ -1,21 +1,21 @@
-"""Decision trees: nodes, consistency sets, cost formulas, serialization.
+"""Decision trees: entries, the one tree index, consistency sets, cost
+formulas, serialization.
 
-A tree node stores its test (or None for a leaf), its children as
-(answer, child) pairs in ascending answer order, and a cached bitmask of the
-hypotheses consistent with the root-to-node path.  Absent children are legal
-for answers no consistent hypothesis takes.  Depth of the root is 0.
+Builders write a tree as `Entries`, one entry per node: its test (None for a
+leaf), its cached set L(v) of hypotheses consistent with the root-to-node
+path, its parent entry and the answer on the parent edge.  `DecisionTree`,
+made from entries and nothing else, indexes them once: record i is node i in
+preorder, children in ascending answer order, so the fulltree driver's grafts
+(appended after their siblings) and JSON children listed out of order index
+like entries written in preorder.  Absent children are legal for answers no
+consistent hypothesis takes.  Depth of the root is 0.
 
 Every builder is a split rule handed to `grow`: greedy, the exact and
 depth-budgeted optimum, the rounding audit's random trees and the grid
-certificate differ only in how they pick the test at a set.  Every rebuild
-(a parsed document, the fulltree driver's spliced calls, a corrupted copy)
-goes through `assemble`, the one bottom-up loop.  No builder recurses.
-
-`DecisionTree` indexes a finished tree once, in preorder: record i holds node
-i's depth, its parent's id and answer, and the ids of its children, in the
-order of `node.children`.  Walkers use these ids instead of rebuilding child
-maps, and no walker recurses, so chain-shaped trees thousands of levels deep
-round-trip through text and JSON.
+certificate differ only in how they pick the test at a set.  Every rebuild (a
+parsed document, the fulltree driver's spliced calls, a corrupted copy) writes
+entries.  No builder and no walker recurses, so chain-shaped trees thousands
+of levels deep round-trip through text and JSON.
 
 Two cost routes are kept deliberately separate so they can cross-check each
 other: `cost` walks each hypothesis down the tree by its answers (the
@@ -27,46 +27,10 @@ the two must agree exactly in rational mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from .errors import FormatError, IncompleteTreeError, ParameterError, StructureError
 from .instance import DTInstance, Number, SetLike, iter_bits, members_of
-
-
-class TreeNode:
-    """Immutable tree node; build leaves/interiors bottom-up."""
-
-    __slots__ = ("test", "children", "mask")
-
-    def __init__(self, test: int | None, children: tuple[tuple[int, "TreeNode"], ...], mask: int):
-        self.test = test
-        self.children = children
-        self.mask = mask
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.test is None
-
-    def child(self, answer: int) -> "TreeNode | None":
-        for a, node in self.children:
-            if a == answer:
-                return node
-        return None
-
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else f"test {self.test}"
-        return f"TreeNode({kind}, |L|={self.mask.bit_count()})"
-
-
-def leaf(mask: int) -> TreeNode:
-    return TreeNode(None, (), mask)
-
-
-def interior(test: int, children: Iterable[tuple[int, TreeNode]], mask: int) -> TreeNode:
-    kids = tuple(sorted(children, key=lambda pair: pair[0]))
-    if not kids:
-        raise ParameterError("interior node needs at least one child")
-    return TreeNode(test, kids, mask)
 
 
 class Entries:
@@ -91,23 +55,9 @@ class Entries:
         return len(self.tests) - 1
 
 
-def assemble(entries: Entries) -> TreeNode:
-    """The root node of the entries, built bottom-up: a node is made once all
-    entries after it, its descendants among them, are built."""
-    tests, masks, parents, answers = (entries.tests, entries.masks,
-                                      entries.parents, entries.answers)
-    kids: dict[int, list[tuple[int, TreeNode]]] = {}
-    node = None
-    for idx in reversed(range(len(tests))):
-        test, mask, parent = tests[idx], masks[idx], parents[idx]
-        node = leaf(mask) if test is None else interior(test, kids.pop(idx, ()), mask)
-        if parent is not None:
-            kids.setdefault(parent, []).append((answers[idx], node))
-    return node
-
-
 def grow(inst: DTInstance, mask: int,
-         rule: Callable[[int, Any], tuple[int, Any] | None], ctx: Any = None) -> TreeNode:
+         rule: Callable[[int, Any], tuple[int, Any] | None],
+         ctx: Any = None) -> DecisionTree:
     """The tree `rule` makes of `mask`, built top-down from an explicit stack.
     `rule(set, ctx)` returns None for a leaf, or the set's test and the ctx
     of its parts: its nonempty answer sets, visited in preorder and answer
@@ -129,17 +79,22 @@ def grow(inst: DTInstance, mask: int,
                 f"test {test} does not split a set of size {s.bit_count()}")
         idx = entries.add(test, s, parent, answer)
         stack.extend((part, idx, a, sub) for a, part in reversed(parts))
-    return assemble(entries)
+    return DecisionTree(entries)
 
 
 @dataclass(frozen=True, slots=True)
 class NodeRecord:
     id: int
-    node: TreeNode
+    test: int | None             # None for a leaf
+    mask: int                    # L(v), the cached consistency set
     depth: int
     parent_id: int | None
     parent_answer: int | None
-    child_ids: tuple[int, ...]   # aligned with node.children
+    child_ids: tuple[int, ...]   # in ascending answer order
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.test is None
 
 
 class DecisionTree:
@@ -147,30 +102,44 @@ class DecisionTree:
 
     __slots__ = ("root", "records")
 
-    def __init__(self, root: TreeNode):
-        self.root = root
-        # Depth-first over the open interior nodes of the current root path:
-        # (id, node, depth, parent id, parent answer, child ids so far,
-        # children left).  A node's record is made once its last child is
-        # done, when all its child ids are known; a leaf's at once.
-        recs: list[NodeRecord | None] = [None]
-        path = [(0, root, 0, None, None, [], iter(root.children))]
-        while path:
-            rid, node, depth, pid, pans, kids, rest = path[-1]
-            nxt = next(rest, None)
-            if nxt is None:
-                path.pop()
-                recs[rid] = NodeRecord(rid, node, depth, pid, pans, tuple(kids))
-                continue
-            answer, child = nxt
-            cid = len(recs)
-            kids.append(cid)
-            if child.children:
-                recs.append(None)
-                path.append((cid, child, depth + 1, rid, answer, [], iter(child.children)))
-            else:
-                recs.append(NodeRecord(cid, child, depth + 1, rid, answer, ()))
+    def __init__(self, entries: Entries):
+        """Index entry 0 and its descendants in preorder, children in
+        ascending answer order (later entry first on equal answers).  Child
+        ids come from subtree sizes when the parent's record is made.  A
+        leaf with children, or an interior entry without, raises
+        ParameterError."""
+        tests, masks, parents, answers = (entries.tests, entries.masks,
+                                          entries.parents, entries.answers)
+        kids: dict[int, list[int]] = {}
+        size = [1] * len(tests)
+        for idx in range(len(tests) - 1, 0, -1):
+            parent = parents[idx]
+            size[parent] += size[idx]
+            kids.setdefault(parent, []).append(idx)
+        recs: list[NodeRecord] = []
+        stack = [(0, 0, None, 0)]    # (entry, record id, parent id, depth)
+        while stack:
+            idx, rid, pid, depth = stack.pop()
+            test = tests[idx]
+            ch = kids.pop(idx, None)
+            cids = ()
+            if ch is not None:
+                if test is None:
+                    raise ParameterError(f"leaf entry {idx} has children")
+                ch.sort(key=answers.__getitem__)   # stable: later entries first
+                cids = [rid + 1]
+                for c in ch[:-1]:
+                    cids.append(cids[-1] + size[c])
+                cids = tuple(cids)      # from a list: sized exactly
+                stack.extend((c, cid, rid, depth + 1)
+                             for c, cid in zip(reversed(ch), reversed(cids)))
+            elif test is not None:
+                raise ParameterError(
+                    f"interior entry {idx} (test {test}) has no children")
+            recs.append(NodeRecord(rid, test, masks[idx], depth, pid,
+                                   None if pid is None else answers[idx], cids))
         self.records = tuple(recs)
+        self.root = recs[0]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -182,9 +151,9 @@ class DecisionTree:
 
     def child_id(self, node_id: int, answer: int) -> int | None:
         """Id of node_id's child on `answer`, or None when there is none."""
-        rec = self.node(node_id)
-        for (a, _), cid in zip(rec.node.children, rec.child_ids):
-            if a == answer:
+        recs = self.records
+        for cid in self.node(node_id).child_ids:
+            if recs[cid].parent_answer == answer:
                 return cid
         return None
 
@@ -192,10 +161,10 @@ class DecisionTree:
         return max(rec.depth for rec in self.records)
 
     def leaves(self) -> Iterator[NodeRecord]:
-        return (rec for rec in self.records if rec.node.is_leaf)
+        return (rec for rec in self.records if rec.test is None)
 
     def interior_records(self) -> Iterator[NodeRecord]:
-        return (rec for rec in self.records if not rec.node.is_leaf)
+        return (rec for rec in self.records if rec.test is not None)
 
     def __repr__(self) -> str:
         return f"DecisionTree({len(self.records)} nodes, depth {self.depth()})"
@@ -214,7 +183,7 @@ def recompute_masks(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> 
             masks[rec.id] = root_mask
         else:
             parent_mask = masks[rec.parent_id]
-            pre = inst.answer_masks(tree.records[rec.parent_id].node.test)[rec.parent_answer - 1]
+            pre = inst.answer_masks(tree.records[rec.parent_id].test)[rec.parent_answer - 1]
             masks[rec.id] = parent_mask & pre
     return masks
 
@@ -223,9 +192,9 @@ def verify_caches(tree: DecisionTree, inst: DTInstance) -> None:
     """Recompute all consistency sets and compare against the cached masks."""
     fresh = recompute_masks(tree, inst)
     for rec in tree.records:
-        if rec.node.mask != fresh[rec.id]:
+        if rec.mask != fresh[rec.id]:
             raise StructureError(
-                f"node {rec.id}: cached set {members_of(rec.node.mask)} "
+                f"node {rec.id}: cached set {members_of(rec.mask)} "
                 f"!= replayed set {members_of(fresh[rec.id])}"
             )
 
@@ -233,30 +202,32 @@ def verify_caches(tree: DecisionTree, inst: DTInstance) -> None:
 def structural_problems(tree: DecisionTree, inst: DTInstance) -> list[str]:
     """Invariant scan: partition property, nonempty sets, no useless tests."""
     problems = []
-    for rec in tree.records:
-        node = rec.node
-        if node.mask == 0:
+    recs = tree.records
+    for rec in recs:
+        if rec.mask == 0:
             problems.append(f"node {rec.id}: empty consistent set")
-        if node.is_leaf:
+        if rec.is_leaf:
             continue
         seen = set()
         union = 0
-        for answer, child in node.children:
+        for cid in rec.child_ids:
+            child = recs[cid]
+            answer = child.parent_answer
             if not 1 <= answer <= inst.k:
                 problems.append(f"node {rec.id}: child answer {answer} outside 1..{inst.k}")
             if answer in seen:
                 problems.append(f"node {rec.id}: duplicate child answer {answer}")
             seen.add(answer)
-            expected = node.mask & inst.answer_masks(node.test)[answer - 1]
+            expected = rec.mask & inst.answer_masks(rec.test)[answer - 1]
             if child.mask != expected:
                 problems.append(f"node {rec.id}: child mask mismatch on answer {answer}")
             if union & child.mask:
                 problems.append(f"node {rec.id}: children overlap")
             union |= child.mask
-        if union != node.mask:
+        if union != rec.mask:
             problems.append(f"node {rec.id}: children do not partition the node set")
-        if len(node.children) == 1 and node.children[0][1].mask == node.mask:
-            problems.append(f"node {rec.id}: useless test {node.test}")
+        if len(rec.child_ids) == 1 and recs[rec.child_ids[0]].mask == rec.mask:
+            problems.append(f"node {rec.id}: useless test {rec.test}")
     return problems
 
 
@@ -276,13 +247,17 @@ def depth_of(tree: DecisionTree, inst: DTInstance, h: int) -> int:
     """d_T(h): depth of the deepest vertex consistent with h (answer descent)."""
     if not 1 <= h <= inst.n:
         raise ParameterError(f"hypothesis {h} outside 1..{inst.n}")
-    node = tree.root
+    recs = tree.records
+    rec = recs[0]
     depth = 0
-    while node.test is not None:
-        nxt = node.child(inst.answer_of(node.test, h))
-        if nxt is None:
+    while rec.test is not None:
+        answer = inst.answer_of(rec.test, h)
+        for cid in rec.child_ids:
+            if recs[cid].parent_answer == answer:
+                break
+        else:           # no child takes this answer
             break
-        node = nxt
+        rec = recs[cid]
         depth += 1
     return depth
 
@@ -316,7 +291,7 @@ def is_complete(tree: DecisionTree, inst: DTInstance, H: SetLike = None,
     hmask = inst.as_mask(H) if H is not None else tree.root.mask
     separated = 0
     for rec in tree.leaves():
-        inter = rec.node.mask & hmask
+        inter = rec.mask & hmask
         if inter and inter & (inter - 1) == 0:
             separated |= inter
     pending = hmask & ~separated
@@ -333,7 +308,7 @@ def interior_weight_sum(tree: DecisionTree, inst: DTInstance) -> Number:
     if not is_complete(tree, inst, H=tree.root.mask, b=None):
         raise IncompleteTreeError("identity requires completeness")
     return inst.num_to_weight(
-        sum(inst.mask_num(rec.node.mask) for rec in tree.interior_records()))
+        sum(inst.mask_num(rec.mask) for rec in tree.interior_records()))
 
 
 # ----------------------------------------------------------------------------
@@ -346,28 +321,27 @@ def tree_to_text(tree: DecisionTree) -> str:
     lines = []
     for rec in tree.records:
         pans = "-" if rec.parent_answer is None else str(rec.parent_answer)
-        if rec.node.is_leaf:
+        if rec.is_leaf:
             lines.append(f"{rec.id} {rec.depth} leaf {pans}")
         else:
-            lines.append(f"{rec.id} {rec.depth} test {rec.node.test} {pans}")
+            lines.append(f"{rec.id} {rec.depth} test {rec.test} {pans}")
     return "\n".join(lines) + "\n"
 
 
 def tree_to_json_obj(tree: DecisionTree) -> dict:
     objs: list[dict] = []
     for rec in tree.records:
-        node = rec.node
-        obj = {"leaf": True} if node.is_leaf else {"test": node.test, "children": []}
+        obj = {"leaf": True} if rec.is_leaf else {"test": rec.test, "children": []}
         objs.append(obj)
         if rec.parent_id is not None:
             objs[rec.parent_id]["children"].append([rec.parent_answer, obj])
     return objs[0]
 
 
-def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> TreeNode:
+def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionTree:
     """Check a shape read from a document (entries whose masks are still
-    None) against the instance, fill in every mask top-down, and assemble
-    the nodes."""
+    None) against the instance, fill in every mask top-down, and index the
+    tree."""
     tests, masks, parents, answers = shape.tests, shape.masks, shape.parents, shape.answers
     for idx, (test, parent, answer) in enumerate(zip(tests, parents, answers)):
         mask = root_mask
@@ -389,7 +363,7 @@ def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> TreeNode:
             if idx + 1 == len(tests) or parents[idx + 1] != idx:
                 raise FormatError(f"interior node (test {test}) with no children")
         masks[idx] = mask
-    return assemble(shape)
+    return DecisionTree(shape)
 
 
 def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTree:
@@ -425,7 +399,7 @@ def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTr
         path.append(pos)
     if not path:
         raise FormatError("empty tree document")
-    return DecisionTree(_attach_masks(shape, inst, inst.as_mask(H)))
+    return _attach_masks(shape, inst, inst.as_mask(H))
 
 
 def _json_int(value, what: str) -> int:
@@ -458,4 +432,4 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
                 raise FormatError(f"bad interior node: {exc}") from exc
         idx = shape.add(test, None, parent, answer)
         stack.extend((sub, idx, a) for a, sub in reversed(kids))
-    return DecisionTree(_attach_masks(shape, inst, inst.as_mask(H)))
+    return _attach_masks(shape, inst, inst.as_mask(H))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitwise import DTInstance, validate_instance
+from splitwise import DecisionTree, DTInstance, Entries, validate_instance
 
 
 def random_exact_weights(rng: random.Random, n: int):
@@ -31,6 +31,22 @@ def random_valid_instance(rng: random.Random, n: int, m: int, K: int,
         if validate_instance(inst).ok:
             return inst
     raise RuntimeError(f"no valid instance found for n={n} m={m} K={K}")
+
+
+def tree_of(spec) -> DecisionTree:
+    """A hand-built tree from nested tuples: a leaf is its mask, an interior
+    node is (test, mask, [(answer, child spec), ...])."""
+    entries = Entries()
+    stack = [(spec, None, None)]
+    while stack:
+        node, parent, answer = stack.pop()
+        if isinstance(node, int):
+            entries.add(None, node, parent, answer)
+            continue
+        test, mask, children = node
+        idx = entries.add(test, mask, parent, answer)
+        stack.extend((sub, idx, a) for a, sub in reversed(children))
+    return DecisionTree(entries)
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from splitwise import (
     theorem1_bound,
     uniform_binary_bound,
 )
-from conftest import random_valid_instance
+from conftest import random_valid_instance, tree_of
 
 TOL = 1e-9
 
@@ -96,15 +96,14 @@ class TestClassification:
 
     def test_rejects_non_greedy_trees(self):
         inst = skewed4()
-        from splitwise import DecisionTree, interior, leaf
         # root on test 3 (max part 15/16) is not greedy
-        bad = DecisionTree(interior(3, [
-            (1, leaf(0b0100)),
-            (2, interior(1, [
-                (1, leaf(0b0001)),
-                (2, interior(2, [(1, leaf(0b0010)), (2, leaf(0b1000))], 0b1010)),
-            ], 0b1011)),
-        ], 0b1111))
+        bad = tree_of((3, 0b1111, [
+            (1, 0b0100),
+            (2, (1, 0b1011, [
+                (1, 0b0001),
+                (2, (2, 0b1010, [(1, 0b0010), (2, 0b1000)])),
+            ])),
+        ]))
         with pytest.raises(ParameterError):
             classify_vertices(bad, inst, Fraction(1, 2))
 
@@ -196,7 +195,7 @@ def test_heavy_cover_rejects_foreign_hypothesis():
     # find an interior node not containing h=1
     target = None
     for rec in tree.records:
-        if not rec.node.is_leaf and not rec.node.mask & 1:
+        if not rec.is_leaf and not rec.mask & 1:
             target = rec.id
     assert target is not None
     with pytest.raises(ParameterError):

@@ -134,6 +134,20 @@ class TestSolve:
         assert rc == EXIT_INVALID
         assert "invalid input" in err
 
+    def test_directory_exits_2(self, tmp_path, capsys):
+        rc = main(["solve", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert err.startswith("invalid input") and len(err.splitlines()) == 1
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(singleton3_text().encode() + "# caf\xe9\n".encode("latin-1"))
+        rc = main(["solve", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert err.startswith("invalid input") and len(err.splitlines()) == 1
+
     def test_budget_env_exits_3(self, tmp_path, capsys, monkeypatch):
         # exact solve of a 14-hypothesis instance cannot finish in ~0 ms
         rc0 = main(["gen", "random", "--n", "14", "--m", "8", "--seed", "3",
@@ -225,6 +239,13 @@ class TestGen:
         assert rc == EXIT_INVALID
         assert "missing" in err
 
+    def test_reduction_non_integer_sets_exit_2(self, capsys):
+        rc = main(["gen", "reduction", "--n0", "2", "--sets", "1,x;2",
+                   "--r", "0.25"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert err.startswith("invalid input") and len(err.splitlines()) == 1
+
     def test_gen_infeasible_exit_2(self, capsys):
         rc = main(["gen", "random", "--n", "7", "--m", "1", "--seed", "0"])
         err = capsys.readouterr().err
@@ -297,6 +318,14 @@ class TestExperiment:
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_integer_sizes_exit_2(self, capsys):
+        rc = main(["experiment", "--family", "random", "--sizes", "5,x"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INVALID
+        assert captured.out == ""
+        assert (captured.err.startswith("invalid input")
+                and len(captured.err.splitlines()) == 1)
 
     def test_empty_sweep_header_only(self, capsys):
         rc = main(["experiment", "--family", "random", "--sizes", ""])

@@ -12,7 +12,6 @@ import pytest
 
 from splitwise import (
     BudgetExceededError,
-    DecisionTree,
     DTInstance,
     ExactSolver,
     build_greedy_tree,
@@ -297,7 +296,7 @@ class UnprunedSolver:
         def rule(s, budget):
             j = self.solve(s, budget)[1]
             return None if j is None else (j, budget - 1)
-        return DecisionTree(grow(self.inst, self.inst.full_mask, rule, b))
+        return grow(self.inst, self.inst.full_mask, rule, b)
 
 
 def _undistinguished_instance(rng: random.Random, n: int, K: int) -> DTInstance:

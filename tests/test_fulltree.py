@@ -14,6 +14,7 @@ import pytest
 
 from splitwise import (
     DTInstance,
+    ExactSolver,
     FullTreeConfig,
     NonUniformError,
     ParameterError,
@@ -262,10 +263,9 @@ def test_small_weight_shortcut_fires():
     cfg = FullTreeConfig(alpha=0.5, ratio_bound=inst.weight_ratio(),
                          b=1, threshold=1e9)
     driver = _Driver(inst, cfg)
-    from splitwise import DecisionTree
     feathers = inst.as_mask([5, 6])
     assert inst.mask_weight(feathers) == Fraction(1, 50)  # < 1/36
-    tree = DecisionTree(driver.solve(feathers, 0))
+    tree = driver.solve(feathers, 0)
     assert is_complete(tree, inst, H=feathers)
     rec = driver.trace.records[0]
     assert rec.decision == GREEDY_SMALL_WEIGHT, driver.trace.lines()
@@ -325,6 +325,27 @@ def test_deep_recursion_does_not_use_the_interpreter_stack():
         sys.setrecursionlimit(old)
     assert trace.depth() == n - 2
     assert tree.depth() == n - 1 and is_complete(tree, inst)
+
+
+def test_shared_solver_keeps_the_memo():
+    """A solver handed to full_tree keeps the driver's subproblems: the
+    optimum afterwards equals a fresh solver's, and when the driver already
+    expanded the whole set at b = n-1 it costs no further expansion."""
+    rng = random.Random(102)
+    for idx in range(6):
+        inst = random_valid_instance(rng, rng.randrange(4, 9),
+                                     rng.randrange(3, 6), 2, uniform=True)
+        cfg = FullTreeConfig(alpha=0.5, mode="uniform", n0=4)
+        solver = ExactSolver(inst)
+        tree, trace = full_tree(inst, cfg, solver=solver)
+        assert tree_to_text(tree) == tree_to_text(full_tree(inst, cfg)[0])
+        done = solver.stats.expansions
+        assert solver.optimal_cost() == optimal_cost(inst), f"case {idx}"
+        if trace.records[0].decision == "expanded" and trace.b == inst.n - 1:
+            assert solver.stats.expansions == done, f"case {idx}"
+    other = random_valid_instance(rng, 5, 4, 2, uniform=True)
+    with pytest.raises(ParameterError):
+        full_tree(inst, cfg, solver=ExactSolver(other))
 
 
 def test_determinism():

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from splitwise import (
-    DecisionTree,
     DTInstance,
     ExactSolver,
     GenerationError,
@@ -218,7 +217,7 @@ class TestGrid:
         ratios = []
         for n in (64, 256):
             inst = gen_grid_adversarial(n, 8)
-            tree = DecisionTree(build_greedy_node(inst, inst.full_mask))
+            tree = build_greedy_node(inst, inst.full_mask)
             ratios.append(cost(tree, inst).total / Fraction(4 * 8))
         assert ratios[0] < ratios[1]
 

@@ -181,9 +181,9 @@ def test_every_interior_choice_is_greedy():
     for idx, inst in enumerate(make_corpus(33, 40) + grids):
         tree = build_greedy_tree(inst)
         for rec in tree.records:
-            if rec.node.is_leaf:
+            if rec.is_leaf:
                 continue
-            assert rec.node.test == greedy_choice(inst, rec.node.mask), (
+            assert rec.test == greedy_choice(inst, rec.mask), (
                 f"case {idx}: node {rec.id} is not the greedy choice"
             )
 
@@ -194,12 +194,12 @@ def test_minority_mass_never_increases_downward():
         tree = build_greedy_tree(inst)
         minority = {
             rec.id: inst.mask_num(
-                rec.node.mask
-                & ~majority_split(inst, rec.node.mask, rec.node.test)[1])
-            for rec in tree.records if not rec.node.is_leaf
+                rec.mask
+                & ~majority_split(inst, rec.mask, rec.test)[1])
+            for rec in tree.records if not rec.is_leaf
         }
         for rec in tree.records:
-            if rec.node.is_leaf or rec.parent_id is None:
+            if rec.is_leaf or rec.parent_id is None:
                 continue
             if rec.parent_id in minority and rec.id in minority:
                 assert minority[rec.id] <= minority[rec.parent_id], (

@@ -313,7 +313,6 @@ class TestRounding:
 
 def test_validity_scan_runs_once_per_instance(monkeypatch):
     """validate, greedy and the exact search share one full-set scan."""
-    import splitwise.greedy as greedy_mod
     import splitwise.instance as instance_mod
     calls = []
     original = instance_mod.undistinguished_pairs
@@ -323,7 +322,6 @@ def test_validity_scan_runs_once_per_instance(monkeypatch):
         return original(inst, mask)
 
     monkeypatch.setattr(instance_mod, "undistinguished_pairs", counted)
-    monkeypatch.setattr(greedy_mod, "undistinguished_pairs", counted)
     inst = DTInstance([Fraction(1, 4)] * 4, [(1, 1, 2, 2), (1, 2, 1, 2)], 2)
     assert validate_instance(inst).ok
     build_greedy_tree(inst)

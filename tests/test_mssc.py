@@ -232,7 +232,7 @@ def test_induced_rejects_non_path_chains():
     rng = random.Random(65)
     inst = random_valid_instance(rng, 6, 4, 2)
     tree = build_greedy_tree(inst)
-    interiors = [r.id for r in tree.records if not r.node.is_leaf]
+    interiors = [r.id for r in tree.records if not r.is_leaf]
     if len(interiors) >= 2:
         a, b = interiors[0], interiors[-1]
         if tree.node(b).parent_id != a:

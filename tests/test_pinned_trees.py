@@ -17,7 +17,8 @@ from splitwise.fulltree import FullTreeConfig, full_tree
 from splitwise.generators import (gen_grid_adversarial, gen_random,
                                   grid_certificate_tree, grid_layout)
 from splitwise.greedy import build_greedy_tree
-from splitwise.tree import tree_to_text
+from splitwise.tree import (tree_from_json_obj, tree_from_text,
+                            tree_to_json_obj, tree_to_text, verify_caches)
 
 GOLDEN = Path(__file__).parent / "data" / "trees_seed0.txt"
 
@@ -29,22 +30,18 @@ CORPUS = [(n, m, K, profile, seed)
 GRIDS = ((16, 4), (17, 5), (40, 6))
 
 
-def _section(title: str, tree) -> str:
-    return f"# {title}\n{tree_to_text(tree)}"
-
-
-def pinned_text() -> str:
-    out = []
+def pinned_trees():
+    """(title, instance, tree) of every pinned tree, in file order."""
     for exact in (True, False):
         mode = "exact" if exact else "float"
         for n, m, K, profile, seed in CORPUS:
             inst = gen_random(n, m, K, seed=seed, profile=profile, exact=exact)
             tag = f"{mode} n={n} m={m} K={K} {profile} seed={seed}"
             solver = ExactSolver(inst)
-            out.append(_section(f"greedy {tag}", build_greedy_tree(inst)))
-            out.append(_section(f"optimal {tag}", solver.optimal_tree()))
-            out.append(_section(f"partial b=2 {tag}",
-                                solver.partial_tree(inst.full_mask, 2)))
+            yield f"greedy {tag}", inst, build_greedy_tree(inst)
+            yield f"optimal {tag}", inst, solver.optimal_tree()
+            yield (f"partial b=2 {tag}", inst,
+                   solver.partial_tree(inst.full_mask, 2))
             general = FullTreeConfig(alpha=0.5, ratio_bound=inst.weight_ratio())
             configs = [("general", general),
                        ("general b=2", FullTreeConfig(
@@ -57,13 +54,16 @@ def pinned_text() -> str:
                                 alpha=0.5, mode="uniform", n0=4,
                                 b=2, threshold=1e9))]
             for name, cfg in configs:
-                out.append(_section(f"fulltree {name} {tag}",
-                                    full_tree(inst, cfg)[0]))
+                yield f"fulltree {name} {tag}", inst, full_tree(inst, cfg)[0]
     for n, c_star in GRIDS:
-        out.append(_section(f"grid certificate n={n} c*={c_star}",
-                            grid_certificate_tree(gen_grid_adversarial(n, c_star),
-                                                  grid_layout(n, c_star))))
-    return "".join(out)
+        inst = gen_grid_adversarial(n, c_star)
+        yield (f"grid certificate n={n} c*={c_star}", inst,
+               grid_certificate_tree(inst, grid_layout(n, c_star)))
+
+
+def pinned_text() -> str:
+    return "".join(f"# {title}\n{tree_to_text(tree)}"
+                   for title, _, tree in pinned_trees())
 
 
 def test_trees_match_pinned_file():
@@ -72,6 +72,18 @@ def test_trees_match_pinned_file():
     assert len(actual) == len(expected)
     for i, (a, e) in enumerate(zip(actual, expected), start=1):
         assert a == e, f"line {i}: {a!r} != {e!r}"
+
+
+def test_pinned_trees_cache_true_sets_and_round_trip():
+    """The text form carries no sets, so the pin alone cannot see a set
+    cached on the wrong record: replay every set, and parse each tree back
+    from text and JSON."""
+    for title, inst, tree in pinned_trees():
+        verify_caches(tree, inst)
+        text = tree_to_text(tree)
+        assert tree_to_text(tree_from_text(text, inst)) == text, title
+        back = tree_from_json_obj(tree_to_json_obj(tree), inst)
+        assert tree_to_text(back) == text, title
 
 
 if __name__ == "__main__":

@@ -15,17 +15,15 @@ from splitwise import (
     Entries,
     FormatError,
     IncompleteTreeError,
+    ParameterError,
     StructureError,
-    assemble,
     build_greedy_tree,
     corrupt_interior_mask,
     cost,
     depth_of,
     grow,
-    interior,
     interior_weight_sum,
     is_complete,
-    leaf,
     optimal_tree,
     recompute_masks,
     structural_problems,
@@ -35,7 +33,7 @@ from splitwise import (
     tree_to_text,
     verify_caches,
 )
-from conftest import random_valid_instance
+from conftest import random_valid_instance, tree_of
 
 
 def quarter_instance() -> DTInstance:
@@ -44,9 +42,9 @@ def quarter_instance() -> DTInstance:
 
 def perfect_tree() -> DecisionTree:
     """Root on test 1, both children on test 2; depth 2 everywhere."""
-    left = interior(2, [(1, leaf(0b0001)), (2, leaf(0b0010))], 0b0011)
-    right = interior(2, [(1, leaf(0b0100)), (2, leaf(0b1000))], 0b1100)
-    return DecisionTree(interior(1, [(1, left), (2, right)], 0b1111))
+    left = (2, 0b0011, [(1, 0b0001), (2, 0b0010)])
+    right = (2, 0b1100, [(1, 0b0100), (2, 0b1000)])
+    return tree_of((1, 0b1111, [(1, left), (2, right)]))
 
 
 def replay_depth(tree: DecisionTree, inst: DTInstance, h: int) -> int:
@@ -56,8 +54,8 @@ def replay_depth(tree: DecisionTree, inst: DTInstance, h: int) -> int:
     while not node.is_leaf:
         a = inst.answer_of(node.test, h)
         nxt = None
-        for ans, child in node.children:
-            if ans == a:
+        for child in tree.records:
+            if child.parent_id == node.id and child.parent_answer == a:
                 nxt = child
         assert nxt is not None, f"hypothesis {h} fell off the tree at depth {d}"
         node = nxt
@@ -96,8 +94,8 @@ def test_cost_breakdown_on_perfect_tree():
 
 def test_cost_conditional_on_subset():
     inst = quarter_instance()
-    sub = interior(2, [(1, leaf(0b0001)), (2, leaf(0b0010))], 0b0011)
-    br = cost(DecisionTree(sub), inst, [1, 2])
+    sub = tree_of((2, 0b0011, [(1, 0b0001), (2, 0b0010)]))
+    br = cost(sub, inst, [1, 2])
     assert br.normalizer == Fraction(1, 2)
     assert br.raw == Fraction(1, 2)    # (1/4 + 1/4) * depth 1
     assert br.total == 1
@@ -137,7 +135,7 @@ def test_is_complete_perfect():
 
 def test_is_complete_respects_budget():
     inst = quarter_instance()
-    stub = DecisionTree(interior(1, [(1, leaf(0b0011)), (2, leaf(0b1100))], 0b1111))
+    stub = tree_of((1, 0b1111, [(1, 0b0011), (2, 0b1100)]))
     assert not is_complete(stub, inst)          # multi-leaves above any budget
     assert is_complete(stub, inst, b=1)         # allowed exactly at depth b
     assert not is_complete(stub, inst, b=2)
@@ -157,7 +155,7 @@ def test_interior_weight_sum_equals_raw_cost():
 
 def test_interior_weight_sum_requires_completeness():
     inst = quarter_instance()
-    stub = DecisionTree(interior(1, [(1, leaf(0b0011)), (2, leaf(0b1100))], 0b1111))
+    stub = tree_of((1, 0b1111, [(1, 0b0011), (2, 0b1100)]))
     with pytest.raises(IncompleteTreeError):
         interior_weight_sum(stub, inst)
 
@@ -186,16 +184,22 @@ def test_recompute_masks_pinpoints_corruption():
     # corrupt a non-root interior node so the replayed set differs right there
     bad = corrupt_interior_mask(tree, which=1)
     fresh = recompute_masks(bad, inst)
-    mismatched = [rec.id for rec in bad.records if rec.node.mask != fresh[rec.id]]
+    mismatched = [rec.id for rec in bad.records if rec.mask != fresh[rec.id]]
     assert mismatched, "replay oracle failed to notice the corrupted cache"
     clean = recompute_masks(tree, inst)
-    assert all(rec.node.mask == clean[rec.id] for rec in tree.records)
+    assert all(rec.mask == clean[rec.id] for rec in tree.records)
 
 
 def test_interior_requires_children():
-    from splitwise import ParameterError
+    entries = Entries()
+    entries.add(1, 0b11, None, None)
     with pytest.raises(ParameterError):
-        interior(1, [], 0b11)
+        DecisionTree(entries)
+    entries = Entries()
+    entries.add(None, 0b11, None, None)
+    entries.add(None, 0b01, 0, 1)
+    with pytest.raises(ParameterError):
+        DecisionTree(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +294,7 @@ def test_deep_chain_text_round_trip(deep_chain):
     text = tree_to_text(tree)
     back = tree_from_text(text, inst)
     assert tree_to_text(back) == text
-    assert all(a.node.mask == b.node.mask
+    assert all(a.mask == b.mask
                for a, b in zip(tree.records, back.records))
 
 
@@ -314,23 +318,26 @@ def test_child_ids_index_the_children():
     inst = random_valid_instance(rng, 9, 5, 3)
     tree = build_greedy_tree(inst)
     for rec in tree.records:
-        assert len(rec.child_ids) == len(rec.node.children)
-        for (answer, child), cid in zip(rec.node.children, rec.child_ids):
-            assert tree.node(cid).node is child
-            assert tree.node(cid).parent_id == rec.id
+        kids = [r.id for r in tree.records if r.parent_id == rec.id]
+        assert list(rec.child_ids) == kids
+        assert rec.is_leaf == (not kids)
+        answers = [tree.node(cid).parent_answer for cid in rec.child_ids]
+        assert answers == sorted(set(answers))
+        for answer, cid in zip(answers, rec.child_ids):
             assert tree.child_id(rec.id, answer) == cid
+            assert tree.node(cid).depth == rec.depth + 1
     assert tree.child_id(0, inst.k + 1) is None
 
 
 # ---------------------------------------------------------------------------
-# grow and assemble
+# grow and indexing entries
 # ---------------------------------------------------------------------------
 
 def test_grow_leaf_at_root():
     inst = quarter_instance()
-    root = grow(inst, inst.full_mask, lambda s, ctx: None)
-    assert root.is_leaf and root.mask == inst.full_mask
-    assert len(DecisionTree(root)) == 1
+    tree = grow(inst, inst.full_mask, lambda s, ctx: None)
+    assert tree.root.is_leaf and tree.root.mask == inst.full_mask
+    assert len(tree) == 1
 
 
 def test_grow_refuses_a_test_that_leaves_the_set_whole():
@@ -352,17 +359,33 @@ def test_grow_passes_the_context_down_and_visits_in_preorder():
         seen.append((s, depth))
         return None if s.bit_count() == 1 else (1 if depth == 0 else 2, depth + 1)
 
-    tree = DecisionTree(grow(inst, inst.full_mask, rule, 0))
+    tree = grow(inst, inst.full_mask, rule, 0)
     assert tree_to_text(tree) == tree_to_text(perfect_tree())
     assert seen == [(0b1111, 0), (0b0011, 1), (0b0001, 2), (0b0010, 2),
                     (0b1100, 1), (0b0100, 2), (0b1000, 2)]
 
 
-def test_assemble_rebuilds_records():
+def test_entries_rebuild_records():
     tree = perfect_tree()
     entries = Entries()
     for r in tree.records:
-        entries.add(r.node.test, r.node.mask, r.parent_id, r.parent_answer)
-    again = DecisionTree(assemble(entries))
-    assert tree_to_text(again) == tree_to_text(tree)
-    assert [r.node.mask for r in again.records] == [r.node.mask for r in tree.records]
+        entries.add(r.test, r.mask, r.parent_id, r.parent_answer)
+    again = DecisionTree(entries)
+    assert again.records == tree.records
+
+
+def test_entries_out_of_order_index_like_preorder():
+    # the perfect tree with each node's children in descending answer order
+    # and the left subtree's leaves appended after its sibling subtree, as
+    # the fulltree driver appends a graft after the rest of its call
+    entries = Entries()
+    root = entries.add(1, 0b1111, None, None)
+    right = entries.add(2, 0b1100, root, 2)
+    entries.add(None, 0b1000, right, 2)
+    entries.add(None, 0b0100, right, 1)
+    left = entries.add(2, 0b0011, root, 1)
+    entries.add(None, 0b0010, left, 2)
+    entries.add(None, 0b0001, left, 1)
+    shuffled = DecisionTree(entries)
+    assert shuffled.records == perfect_tree().records
+    verify_caches(shuffled, quarter_instance())
