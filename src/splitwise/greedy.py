@@ -5,6 +5,13 @@ part is lightest; ties go to the smallest test index.  The majority answer
 k+ of a split is the heaviest nonempty part, ties toward the LARGEST answer
 index; the minority mass p^-(v) = p(v) - p(v+) is the quantity the chain
 analysis tracks down the tree.
+
+`majority_parts` is the one split primitive.  On weighted instances it lists
+a set's members at most once per call and weighs every answer part of a test
+in one scan over those members' entries in the test's row, adding raw
+weights in ascending hypothesis order from the mode's zero: the numbers and
+the order of `DTInstance.mask_num`, so float trees are the same as a
+per-part sum's.
 """
 
 from __future__ import annotations
@@ -23,26 +30,50 @@ def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
     smask (one answer holds all of it) has the whole set as its majority
     part and weight None.  All tests of a set are scanned in one call, since
     this is greedy's hot loop.
+
+    On weighted instances the set's members are listed at most once per
+    call, when the first splitting test is met, and each splitting test's
+    part weights come from one scan over those members' entries in its row.
+    A float part is summed in ascending hypothesis order from 0.0, the order
+    of `DTInstance.mask_num`, so float trees do not depend on how the parts
+    are reached.  The builtin `sum()` is not used: from Python 3.12 it sums
+    floats with compensation, which would make float trees depend on the
+    interpreter.  A test that leaves the set whole is found from the masks
+    alone and never scanned.
     """
     answer_masks = inst._answer_masks
-    if tests is not None:
-        if tests and (min(tests) < 1 or max(tests) > inst.m):
-            raise ParameterError(f"tests {tuple(tests)} outside 1..{inst.m}")
-        answer_masks = [answer_masks[j - 1] for j in tests]
-    mask_num = inst.mask_num
+    if tests is None:
+        tests = range(1, inst.m + 1)
+    elif tests and (min(tests) < 1 or max(tests) > inst.m):
+        raise ParameterError(f"tests {tuple(tests)} outside 1..{inst.m}")
+    rows = inst.tests
+    uniform = inst._uniform
+    wn = inst._wnum
+    zero = 0 if inst.exact else 0.0
+    members = None
     out = []
     append = out.append
-    for masks in answer_masks:
-        best_a = best_pm = best_num = None
+    for j in tests:
+        best_a = best_pm = best_num = nums = None
         a = 0
-        for am in masks:
+        for am in answer_masks[j - 1]:
             a += 1
             pm = smask & am
             if pm == smask:
                 best_a, best_pm, best_num = a, pm, None
                 break
             if pm:
-                num = mask_num(pm)
+                if uniform:
+                    num = pm.bit_count() * wn[0]
+                else:
+                    if nums is None:
+                        if members is None:
+                            members = list(iter_bits(smask))
+                        nums = [zero] * (inst.k + 1)    # by answer; 0 unused
+                        row = rows[j - 1]
+                        for i in members:
+                            nums[row[i]] += wn[i]
+                    num = nums[a]
                 if best_num is None or num >= best_num:
                     best_a, best_pm, best_num = a, pm, num
         append((best_a, best_pm, best_num))

@@ -154,7 +154,7 @@ class DTInstance:
             raise ParameterError("instance needs at least one hypothesis")
         n = len(ws)
 
-        rows = tuple(tuple(int(a) for a in row) for row in tests)
+        rows = tuple(tuple(map(int, row)) for row in tests)
         if k is None:
             k = max((max(row) for row in rows if row), default=2)
             k = max(k, 2)
@@ -162,9 +162,9 @@ class DTInstance:
         for j, row in enumerate(rows, start=1):
             if len(row) != n:
                 raise ParameterError(f"test {j} has {len(row)} answers, expected {n}")
-            for a in row:
-                if not 1 <= a <= k:
-                    raise ParameterError(f"test {j}: answer {a} outside 1..{k}")
+            if min(row) < 1 or max(row) > k:
+                a = next(a for a in row if not 1 <= a <= k)
+                raise ParameterError(f"test {j}: answer {a} outside 1..{k}")
 
         self.n = n
         self.m = len(rows)
@@ -188,12 +188,19 @@ class DTInstance:
             self._wden = None
             self._wnum = ws
 
+        # A row read as a string of chr(answer), last hypothesis first; its
+        # answer-a mask is that string translated to '1' at chr(a) and '0' at
+        # every other answer, read in base 2.  The table for answer a is the
+        # window of one 2k+1 byte string that has its '1' at index a, so no
+        # k-by-k table is built.  Leading zeros are stripped first, since
+        # int() sizes its result by the length of the string.
+        window = memoryview(b"0" * k + b"1" + b"0" * k)
+        tables = [window[k - a:] for a in range(1, k + 1)]
         amasks = []
         for row in rows:
-            per = [0] * k
-            for i, a in enumerate(row):
-                per[a - 1] |= 1 << i
-            amasks.append(tuple(per))
+            text = "".join(map(chr, reversed(row)))
+            amasks.append(tuple([int(text.translate(t).lstrip("0") or "0", 2)
+                                 for t in tables]))
         self._answer_masks = tuple(amasks)
         self._undistinguished = None
 
@@ -325,7 +332,7 @@ class DTInstance:
             if len(toks) != n:
                 raise FormatError(f"test {idx + 1}: expected {n} answers, found {len(toks)}")
             try:
-                tests.append([int(t) for t in toks])
+                tests.append(tuple(map(int, toks)))
             except ValueError as exc:
                 raise FormatError(f"test {idx + 1}: non-integer answer") from exc
         try:
@@ -430,11 +437,14 @@ def undistinguished_pairs(inst: DTInstance, mask: int) -> Iterator[tuple[int, in
     Hypotheses are grouped by answer signature (two are separated by some
     test iff their answer columns differ); each member is paired with the
     latest earlier member of its group.  Lazy, so a caller that only needs
-    the first pair stops there.
+    the first pair stops there.  A signature is the column as a string of
+    chr(answer): every member's is alive at once, and a string takes about a
+    quarter of the memory of a tuple of ints.
     """
-    latest: dict[tuple[int, ...], int] = {}
+    latest: dict[str, int] = {}
+    tests = inst.tests
     for i in iter_bits(mask):
-        sig = tuple(row[i] for row in inst.tests)
+        sig = "".join([chr(row[i]) for row in tests])
         prev = latest.get(sig)
         if prev is not None:
             yield prev, i + 1

@@ -341,7 +341,7 @@ def tree_to_json_obj(tree: DecisionTree) -> dict:
 def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionTree:
     """Check a shape read from a document (entries whose masks are still
     None) against the instance, fill in every mask top-down, and index the
-    tree."""
+    tree.  Two children on one answer raise FormatError."""
     tests, masks, parents, answers = shape.tests, shape.masks, shape.parents, shape.answers
     for idx, (test, parent, answer) in enumerate(zip(tests, parents, answers)):
         mask = root_mask
@@ -363,7 +363,16 @@ def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionT
             if idx + 1 == len(tests) or parents[idx + 1] != idx:
                 raise FormatError(f"interior node (test {test}) with no children")
         masks[idx] = mask
-    return DecisionTree(shape)
+    tree = DecisionTree(shape)
+    recs = tree.records
+    for rec in recs:
+        prev = None
+        for cid in rec.child_ids:    # ascending answer order
+            answer = recs[cid].parent_answer
+            if answer == prev:
+                raise FormatError(f"two children on answer {answer} of test {rec.test}")
+            prev = answer
+    return tree
 
 
 def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTree:

@@ -9,10 +9,12 @@ import pytest
 
 from splitwise import (
     DTInstance,
+    ParameterError,
     UnsplittableSetError,
     build_greedy_tree,
     cost,
     gen_grid_adversarial,
+    gen_random,
     greedy_choice,
     heavy_hypothesis,
     interior_weight_sum,
@@ -21,7 +23,9 @@ from splitwise import (
     majority_split,
     optimal_cost,
     structural_problems,
+    tree_to_text,
 )
+from splitwise import greedy
 from conftest import random_valid_instance
 
 
@@ -226,3 +230,88 @@ def test_greedy_deep_chain_does_not_recurse_out():
     inst = DTInstance([Fraction(1, n)] * n, tests, 2)
     tree = build_greedy_tree(inst)
     assert max(cost(tree, inst).depths.values()) == n - 1
+
+
+# ---------------------------------------------------------------------------
+# differential check against the per-bit split scan
+# ---------------------------------------------------------------------------
+
+def per_bit_majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
+    """`majority_parts` as it was before the member scan: every part weighed
+    by its own bit walk (`DTInstance.mask_num`).  The reference the member
+    scan must match exactly, float values included."""
+    answer_masks = inst._answer_masks
+    if tests is not None:
+        if tests and (min(tests) < 1 or max(tests) > inst.m):
+            raise ParameterError(f"tests {tuple(tests)} outside 1..{inst.m}")
+        answer_masks = [answer_masks[j - 1] for j in tests]
+    mask_num = inst.mask_num
+    out = []
+    append = out.append
+    for masks in answer_masks:
+        best_a = best_pm = best_num = None
+        a = 0
+        for am in masks:
+            a += 1
+            pm = smask & am
+            if pm == smask:
+                best_a, best_pm, best_num = a, pm, None
+                break
+            if pm:
+                num = mask_num(pm)
+                if best_num is None or num >= best_num:
+                    best_a, best_pm, best_num = a, pm, num
+        append((best_a, best_pm, best_num))
+    return out
+
+
+def split_corpus():
+    """Uniform, skew and two-tier weights in both modes, K = 2, 3 and 5,
+    plus an instance with zero weights, whose empty and zero-weight parts
+    must stay apart."""
+    out = []
+    seed = 0
+    for K in (2, 3, 5):
+        for n in (2, 9, 40, 120):
+            for profile in ("uniform", "skew", "two-tier"):
+                for exact in (True, False):
+                    seed += 1
+                    out.append(gen_random(n, 24, K, seed, profile=profile,
+                                          exact=exact))
+    rng = random.Random(40)
+    tests = [tuple(rng.randrange(1, 4) for _ in range(6)) for _ in range(8)]
+    zeros = [0, 0, Fraction(1, 4), 0, Fraction(1, 2), Fraction(1, 4)]
+    out.append(DTInstance(zeros, tests, 3))
+    out.append(DTInstance([float(w) for w in zeros], tests, 3))
+    return out
+
+
+def test_majority_parts_matches_per_bit_scan():
+    rng = random.Random(41)
+    for idx, inst in enumerate(split_corpus()):
+        n, m = inst.n, inst.m
+        sets = [inst.full_mask, 1 << rng.randrange(n)]
+        sets += [rng.randrange(1, 1 << n) for _ in range(6)]
+        test_sets = [None, (), tuple(range(1, m + 1)),
+                     tuple(sorted(rng.sample(range(1, m + 1), m // 2))),
+                     tuple(rng.sample(range(1, m + 1), 3))]
+        for smask in sets:
+            for tests in test_sets:
+                got = majority_parts(inst, smask, tests)
+                want = per_bit_majority_parts(inst, smask, tests)
+                assert got == want, (idx, smask, tests)
+                assert [type(num) for _, _, num in got] == \
+                    [type(num) for _, _, num in want], (idx, smask, tests)
+        for bad in ((0,), (m + 1,), (1, m + 1)):
+            with pytest.raises(ParameterError):
+                majority_parts(inst, inst.full_mask, bad)
+
+
+@pytest.mark.parametrize("K, exact", [(2, True), (3, False), (2, False), (3, True)])
+def test_greedy_tree_matches_per_bit_scan_on_skew(K, exact, monkeypatch):
+    inst = gen_random(600, 28, K, 42 + K, profile="skew", exact=exact)
+    tree = build_greedy_tree(inst)
+    monkeypatch.setattr(greedy, "majority_parts", per_bit_majority_parts)
+    ref = build_greedy_tree(inst)
+    assert tree_to_text(tree) == tree_to_text(ref)
+    assert [rec.mask for rec in tree.records] == [rec.mask for rec in ref.records]

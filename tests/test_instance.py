@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from splitwise import (
     parse_number,
     restrict,
     round_weights,
+    undistinguished_pairs,
     validate_instance,
 )
 from conftest import random_exact_weights, random_valid_instance
@@ -79,6 +81,46 @@ def test_answer_masks_partition_everything():
                     if am >> (h - 1) & 1:
                         assert inst.answer_of(j, h) == a
             assert union == inst.full_mask
+
+
+def _reference_masks(rows, k):
+    """Answer masks one entry at a time: bit i of mask a-1 is set when
+    hypothesis i+1 answers a."""
+    out = []
+    for row in rows:
+        per = [0] * k
+        for i, a in enumerate(row):
+            per[a - 1] |= 1 << i
+        out.append(tuple(per))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("K", [2, 3, 300])
+def test_rows_and_answer_masks_match_per_entry_reference(K):
+    rng = random.Random(K)
+    for n in (1, 2, 7, 64, 301):
+        rows = [[rng.randrange(1, K + 1) for _ in range(n)] for _ in range(4)]
+        # answers arrive as any int-convertible values (text tokens, JSON)
+        given = [rows[0], tuple(rows[1]), [str(a) for a in rows[2]],
+                 [float(a) for a in rows[3]]]
+        inst = DTInstance([Fraction(1, n)] * n, given, K)
+        assert inst.tests == tuple(tuple(row) for row in rows)
+        assert all(type(a) is int for row in inst.tests for a in row)
+        assert inst._answer_masks == _reference_masks(rows, K)
+        assert DTInstance([Fraction(1, n)] * n, rows).k == max(2, max(map(max, rows)))
+
+
+@pytest.mark.parametrize("row, k, first_bad", [
+    ((1, 0, 5), 3, 0),
+    ((1, 5, 0), 3, 5),
+    ((2, 300, 301), 300, 301),
+    ((-1, 2, 2), None, -1),
+])
+def test_out_of_range_answer_named_in_error(row, k, first_bad):
+    shown_k = k if k is not None else max(2, max(row))
+    message = f"test 2: answer {first_bad} outside 1..{shown_k}"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        DTInstance([Fraction(1, 3)] * 3, [(1, 2, 1), row], k)
 
 
 def test_mask_weight_equals_member_sum():
@@ -184,6 +226,31 @@ def test_undistinguished_pairs_reported_and_raised():
             solve(inst, [2, 3, 4, 5])
         assert ei.value.undistinguished == (3, 4)
     build_greedy_tree(inst, [1, 2])          # a distinguished subset is fine
+
+
+@pytest.mark.parametrize("K", [2, 3, 300])
+def test_undistinguished_pairs_match_tuple_signatures(K):
+    """Pairs grouped by string signatures equal pairs grouped by the answer
+    columns as tuples, on subsets too; with no tests every pair clashes."""
+    def reference(inst, mask):
+        latest, out = {}, []
+        for h in members_of(mask):
+            sig = tuple(row[h - 1] for row in inst.tests)
+            if sig in latest:
+                out.append((latest[sig], h))
+            latest[sig] = h
+        return out
+
+    rng = random.Random(K)
+    n = 40
+    for m in (0, 1, 3):
+        # few distinct columns, so that many pairs clash
+        cols = [tuple(rng.randrange(1, K + 1) for _ in range(m)) for _ in range(6)]
+        picks = [rng.choice(cols) for _ in range(n)]
+        rows = [[col[j] for col in picks] for j in range(m)]
+        inst = DTInstance([Fraction(1, n)] * n, rows, K)
+        for mask in (inst.full_mask, rng.randrange(1, 1 << n), 0b1011):
+            assert list(undistinguished_pairs(inst, mask)) == reference(inst, mask)
 
 
 def test_validate_flags_bad_weight_sum():

@@ -243,6 +243,7 @@ def test_malformed_tree_text_rejected():
         "interior without children": "0 0 test 1 -\n",
         "test out of range": "0 0 test 3 -\n1 1 leaf 1\n",
         "answer out of range": "0 0 test 1 -\n1 1 leaf 3\n",
+        "repeated child answer": "0 0 test 1 -\n1 1 leaf 1\n2 1 leaf 1\n",
     }
     for what, text in bad_docs.items():
         with pytest.raises(FormatError):
@@ -267,6 +268,8 @@ def test_malformed_tree_text_rejected():
     {"leaf": True, "children": [[1, {"leaf": True}], [2, {"leaf": True}]]},
     {"leaf": True, "children": [[1, "not a node"]]},
     {"leaf": True, "test": 1},
+    {"test": 1, "children": [[1, {"leaf": True}], [2, {"leaf": True}],
+                             [1, {"leaf": True}]]},
 ])
 def test_malformed_tree_json_rejected(doc):
     with pytest.raises(FormatError):
