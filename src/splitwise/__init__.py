@@ -23,13 +23,11 @@ from .tree import (CostBreakdown, DecisionTree, Entries, NodeRecord, cost,
                    tree_from_text, tree_to_json_obj, tree_to_text,
                    verify_caches)
 from .greedy import (build_greedy_node, build_greedy_tree, greedy_choice,
-                     heavy_above, heavy_hypothesis, majority_parts,
-                     majority_split)
+                     heavy_above, majority_parts)
 from .exact import ExactSolver, optimal_cost, optimal_tree, partial_tree
 from .mssc import (MsscInstance, MsscSolution, chain_order, induced_mssc,
                    is_greedy_order, mssc_cost, mssc_greedy, mssc_optimal)
-from .setcover import (greedy_cover_bound, max_set_weight, optimal_cover_size,
-                       weighted_greedy_cover)
+from .setcover import greedy_cover_bound, max_set_weight, optimal_cover_size
 from .chains import (ChainDecomposition, HeavyPath, VertexLabel, VertexLabels,
                      assembled_audit, chain_decomposition, chain_mssc_audit,
                      choose_delta, classify_vertices, entropy_audit,

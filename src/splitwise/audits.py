@@ -30,8 +30,7 @@ from .greedy import build_greedy_tree, greedy_choice, majority_parts
 from .instance import DTInstance, close, round_weights, validate_instance
 from .mssc import MsscInstance, is_greedy_order, mssc_cost, mssc_greedy, mssc_optimal
 from .report import AuditLine, all_pass, make_line
-from .setcover import (greedy_cover_bound, max_set_weight, optimal_cover_size,
-                       weighted_greedy_cover)
+from .setcover import greedy_cover_bound, max_set_weight, optimal_cover_size
 from .tree import (DecisionTree, Entries, cost, grow, interior_weight_sum,
                    is_complete, tree_to_text)
 
@@ -293,11 +292,12 @@ def _family_setcover(ctx: AuditContext, seed: int, float_mode: bool) -> None:
             weights = {e: rng.uniform(0.2, 4.0) for e in universe}
         else:
             weights = {e: Fraction(rng.randrange(1, 9)) for e in universe}
-        ell_opt = optimal_cover_size(universe, sets)
-        order = weighted_greedy_cover(weights, sets)
+        cover = MsscInstance(tuple(weights), tuple(weights.values()), sets)
+        ell_opt = optimal_cover_size(cover)
+        order = cover.greedy_completion()
         tag = f"cover #{i}: |U|={u} M={n_sets}"
-        bound = greedy_cover_bound(max_set_weight(weights, sets),
-                                   min(weights.values()), ell_opt)
+        bound = greedy_cover_bound(max_set_weight(cover), min(cover.weights),
+                                   ell_opt)
         ctx.add(_tag(make_line("setcover_bound", len(order), bound), tag))
         ctx.add(_tag(make_line("setcover_opt_le_greedy", ell_opt, len(order)),
                      tag))
@@ -370,7 +370,8 @@ def _family_reduction(ctx: AuditContext, seed: int, float_mode: bool) -> None:
                                meta.ratio,
                                passed=inst.weight_ratio() == meta.ratio),
                      tag), inst)
-        b_opt = optimal_cover_size(frozenset(range(1, n0 + 1)), sets)
+        b_opt = optimal_cover_size(
+            MsscInstance(range(1, n0 + 1), [1] * n0, sets))
         c_opt = optimal_cost(inst)
         lo = Fraction(meta.q * b_opt, 2)
         hi = 3 * meta.q * b_opt

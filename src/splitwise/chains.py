@@ -27,11 +27,13 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError, StructureError
-from .greedy import heavy_above, majority_parts, majority_split
+from .greedy import heavy_above, majority_parts
 from .instance import (REL_TOL, DTInstance, Number, close, has_two_sided_test,
                        iter_bits, ln, log2)
-from .mssc import chain_order, induced_mssc, is_greedy_order, mssc_optimal
+from .mssc import (MsscInstance, chain_order, induced_mssc, is_greedy_order,
+                   mssc_optimal)
 from .report import AuditLine, make_line
+from .setcover import greedy_cover_bound, max_set_weight, optimal_cover_size
 from .tree import DecisionTree, depth_of, interior_weight_sum
 
 # ----------------------------------------------------------------------------
@@ -168,7 +170,7 @@ def classify_vertices(tree: DecisionTree, inst: DTInstance,
     labels: dict[int, VertexLabel] = {}
     for rec in tree.interior_records():
         smask = rec.mask
-        kplus, maj_mask = majority_split(inst, smask, rec.test)
+        kplus, maj_mask, _ = majority_parts(inst, smask, (rec.test,))[0]
         maj_child = tree.child_id(rec.id, kplus)
         if maj_child is None:
             raise StructureError(f"node {rec.id} lacks a child for majority answer {kplus}")
@@ -318,14 +320,14 @@ def heavy_paths(labels: VertexLabels, tree: DecisionTree,
 
 
 def heavy_cover_instance(inst: DTInstance, tree: DecisionTree, top_id: int,
-                         h: int):
+                         h: int) -> MsscInstance:
     """The covering instance certifying a heavy run's length.
 
-    Universe: everything consistent at the run's top except h itself.  One
-    set per test: the elements answering differently from h (at a vertex where
-    h is heavy this equals the complement of the test's majority class, but
-    unlike the majority it stays well-defined on one-element universes).
-    Returns (universe tuple, weight map, sets) ready for the cover routines.
+    Universe: everything consistent at the run's top except h itself, with
+    the instance's weights.  One set per test: the elements answering
+    differently from h (at a vertex where h is heavy this equals the
+    complement of the test's majority class, but unlike the majority it stays
+    well-defined on one-element universes).
     """
     smask = tree.node(top_id).mask
     if not (smask >> (h - 1)) & 1:
@@ -333,13 +335,12 @@ def heavy_cover_instance(inst: DTInstance, tree: DecisionTree, top_id: int,
     umask = smask & ~(1 << (h - 1))
     if umask == 0:
         raise ParameterError(f"empty cover universe for hypothesis {h}")
-    universe = tuple(i + 1 for i in iter_bits(umask))
-    weights: dict[int, Number] = {e: inst.weight_of(e) for e in universe}
     sets = []
     for j in range(1, inst.m + 1):
         h_class = inst.answer_masks(j)[inst.answer_of(j, h) - 1]
-        sets.append(frozenset(i + 1 for i in iter_bits(umask & ~h_class)))
-    return universe, weights, tuple(sets)
+        sets.append([i + 1 for i in iter_bits(umask & ~h_class)])
+    return MsscInstance([i + 1 for i in iter_bits(umask)],
+                        [inst.weights[i] for i in iter_bits(umask)], sets)
 
 
 # ----------------------------------------------------------------------------
@@ -397,7 +398,7 @@ def monotonicity_audit(tree: DecisionTree, inst: DTInstance) -> AuditLine:
     child, on any edge.  Reports the number of violating edges."""
     minority: dict[int, Number] = {}
     for rec in tree.interior_records():
-        _, maj = majority_split(inst, rec.mask, rec.test)
+        _, maj, _ = majority_parts(inst, rec.mask, (rec.test,))[0]
         minority[rec.id] = inst.mask_weight(rec.mask & ~maj)
     bad = 0
     worst = ""
@@ -422,8 +423,7 @@ def entropy_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
 
 
 def imbalanced_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
-                     exact_c_opt: Number,
-                     labels: VertexLabels | None = None) -> list[AuditLine]:
+                     exact_c_opt: Number) -> list[AuditLine]:
     """The inequality battery over imbalanced and heavy weight:
 
     - partition: balanced + imbalanced == total interior weight, exactly
@@ -432,8 +432,7 @@ def imbalanced_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
     - heavy weight <= (1 + ln(p_max/p_min)) * C_opt
     - heavy weight == sum over h of p_h * (heavy run length), exactly
     """
-    if labels is None:
-        labels = classify_vertices(tree, inst, delta)
+    labels = classify_vertices(tree, inst, delta)
     bal = labels.balanced_weight()
     imb = labels.imbalanced_weight()
     q_sum = labels.heavy_weight()
@@ -462,9 +461,7 @@ def imbalanced_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
 
 
 def heavy_path_audit(tree: DecisionTree, inst: DTInstance,
-                     opt_tree: DecisionTree,
-                     labels: VertexLabels | None = None,
-                     delta: Number = Fraction(1, 2)) -> list[AuditLine]:
+                     opt_tree: DecisionTree) -> list[AuditLine]:
     """Per heavy hypothesis, two independent routes to the run-length bound:
 
     - heavy_path: run length <= (1 + ln(p_max/p_min)) * d_opt(h), the depth
@@ -473,35 +470,35 @@ def heavy_path_audit(tree: DecisionTree, inst: DTInstance,
       larger than d_opt(h)
     - heavy_cover_tight: run length <= (1 + ln(p*/min weight)) * ell_opt,
       the covering-theorem form with the instance's own parameters
+
+    Heavy hypotheses do not depend on the scale, so the labels are taken at
+    delta = 1/2.
     """
-    from .setcover import greedy_cover_bound, max_set_weight, optimal_cover_size
-    if labels is None:
-        labels = classify_vertices(tree, inst, delta)
+    labels = classify_vertices(tree, inst, Fraction(1, 2))
     ratio_term = 1.0 + ln(inst.p_max / inst.p_min)
     lines = []
     for h, hp in sorted(heavy_paths(labels, tree, inst).items()):
         d_opt = depth_of(opt_tree, inst, h)
         lines.append(make_line("heavy_path", hp.length, ratio_term * d_opt,
                                level=str(h)))
-        universe, weights, sets = heavy_cover_instance(inst, tree, hp.top_id, h)
+        cover = heavy_cover_instance(inst, tree, hp.top_id, h)
         try:
-            ell = optimal_cover_size(universe, sets)
+            ell = optimal_cover_size(cover)
         except BudgetExceededError:
             lines.append(make_line("heavy_cover", None, None, level=str(h),
                                    passed=True, mandatory=False,
                                    note="skipped: cover search budget"))
             continue
         lines.append(make_line("heavy_cover", ell, d_opt, level=str(h)))
-        bound = greedy_cover_bound(max_set_weight(weights, sets),
-                                   min(weights.values()), ell)
+        bound = greedy_cover_bound(max_set_weight(cover), min(cover.weights),
+                                   ell)
         lines.append(make_line("heavy_cover_tight", hp.length, bound,
                                level=str(h)))
     return lines
 
 
 def chain_mssc_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
-                     exact_c_opt: Number,
-                     labels: VertexLabels | None = None) -> list[AuditLine]:
+                     exact_c_opt: Number) -> list[AuditLine]:
     """Chain-level covering checks at scale delta:
 
     - chain_order_greedy: the constructed ordering for each chain is greedy
@@ -511,8 +508,7 @@ def chain_mssc_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
     - level_mssc: per level, the optimal covering costs of the chains sum to
       at most C_opt (uniform) / C_opt + 1 (weighted)
     """
-    if labels is None:
-        labels = classify_vertices(tree, inst, delta)
+    labels = classify_vertices(tree, inst, delta)
     decomp = chain_decomposition(labels, tree)
     uniform = inst.uniform
     lines = []
@@ -521,7 +517,7 @@ def chain_mssc_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
         level_ok = True
         for chain in decomp.chains_at(s):
             m_inst = induced_mssc(inst, tree, chain)
-            sol = chain_order(inst, tree, chain)
+            sol = chain_order(inst, tree, chain, labels, m_inst)
             lines.append(make_line("chain_order_greedy", None, None,
                                    level=str(s),
                                    passed=is_greedy_order(m_inst, sol.order),

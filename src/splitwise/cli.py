@@ -35,6 +35,7 @@ from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
                          gen_setcover_reduction)
 from .greedy import build_greedy_tree
 from .instance import DTInstance, format_number, validate_instance
+from .mssc import MsscInstance
 from .setcover import optimal_cover_size
 from .tree import cost, tree_to_text
 
@@ -273,7 +274,8 @@ def _experiment_rows(args, budget):
         for i, (n0, sets, r) in enumerate(REDUCTION_CASES):
             inst, meta = gen_setcover_reduction(n0, sets, r)
             iid = f"reduction-{i}-n0{n0}"
-            b_opt = optimal_cover_size(frozenset(range(1, n0 + 1)), sets)
+            b_opt = optimal_cover_size(
+                MsscInstance(range(1, n0 + 1), [1] * n0, sets))
             t0 = time.perf_counter()
             try:
                 c_opt = optimal_cost(inst, budget_ms=budget)

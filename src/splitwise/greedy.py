@@ -134,21 +134,8 @@ def build_greedy_tree(inst: DTInstance, H: SetLike = None) -> DecisionTree:
 
 
 # ----------------------------------------------------------------------------
-# majority / minority machinery used by the chain analysis
+# the heavy hypothesis used by the chain analysis
 # ----------------------------------------------------------------------------
-
-def majority_split(inst: DTInstance, smask: int, j: int) -> tuple[int, int]:
-    """(majority answer k+, its part mask) for test j at the set `smask`."""
-    kplus, maj_mask, _ = majority_parts(inst, smask, (j,))[0]
-    return kplus, maj_mask
-
-
-def heavy_hypothesis(inst: DTInstance, smask: int, j: int) -> int | None:
-    """The unique h in the set with p_h > p^-(v) for the node (smask, test j),
-    or None."""
-    _, maj_mask = majority_split(inst, smask, j)
-    return heavy_above(inst, smask, inst.mask_num(smask & ~maj_mask))
-
 
 def heavy_above(inst: DTInstance, smask: int, pminus_num) -> int | None:
     """The unique h in smask whose raw weight exceeds p^-(v) = pminus_num.

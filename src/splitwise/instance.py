@@ -154,7 +154,13 @@ class DTInstance:
             raise ParameterError("instance needs at least one hypothesis")
         n = len(ws)
 
-        rows = tuple(tuple(map(int, row)) for row in tests)
+        rows = []
+        for j, row in enumerate(tests, start=1):
+            try:
+                rows.append(tuple(map(int, row)))
+            except ValueError as exc:
+                raise ParameterError(f"test {j}: non-integer answer") from exc
+        rows = tuple(rows)
         if k is None:
             k = max((max(row) for row in rows if row), default=2)
             k = max(k, 2)
@@ -326,17 +332,16 @@ class DTInstance:
         if len(wtoks) != n:
             raise FormatError(f"expected {n} weights, found {len(wtoks)}")
         weights = [parse_number(t, exact=exact) for t in wtoks]
-        tests = []
-        for idx in range(m):
-            toks = lines[2 + idx].split()
-            if len(toks) != n:
-                raise FormatError(f"test {idx + 1}: expected {n} answers, found {len(toks)}")
-            try:
-                tests.append(tuple(map(int, toks)))
-            except ValueError as exc:
-                raise FormatError(f"test {idx + 1}: non-integer answer") from exc
+
+        def rows():     # answer tokens; __init__ converts them
+            for idx, line in enumerate(lines[2:], start=1):
+                toks = line.split()
+                if len(toks) != n:
+                    raise FormatError(f"test {idx}: expected {n} answers, found {len(toks)}")
+                yield toks
+
         try:
-            return cls(weights, tests, k)
+            return cls(weights, rows(), k)
         except ParameterError as exc:
             raise FormatError(str(exc)) from exc
 

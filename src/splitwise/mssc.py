@@ -1,4 +1,10 @@
-"""(Weighted) Min-Sum-Set-Cover.
+"""(Weighted) Min-Sum-Set-Cover, and the covering instance it shares with
+Set Cover.
+
+`MsscInstance` is the one covering instance of the package: a weighted
+universe plus a family of sets, held as bitmasks.  MSSC orders the whole
+family; `setcover` reads the same instance for the cover size and the
+heaviest set.
 
 An ordering of sets covers the universe; each element pays its weight times
 the index of the first set containing it.  Equivalently the cost is the sum,
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceededError, FormatError, ParameterError, StructureError
-from .greedy import heavy_hypothesis, majority_parts
+from .greedy import majority_parts
 from .instance import (DTInstance, Number, close, coerce_weights, format_number,
                        iter_bits, parse_number)
 from .tree import DecisionTree, NodeRecord
@@ -32,37 +38,40 @@ OPT_SEARCH_BITS = 16
 class MsscInstance:
     """Weighted universe plus a family of sets (1-based set indices).
 
-    Elements are arbitrary integer labels.  Empty sets are legal members of
-    the family (the chain-induced construction keeps per-hypothesis singletons
+    `set_masks[j - 1]` is set j as a bitmask over element positions (bit i
+    is `elements[i]`), and `mask_weight` weighs such a mask in ascending
+    position order.  Elements are arbitrary integer labels; a set member
+    outside the universe is refused.  Empty sets are legal members of the
+    family (the chain-induced construction keeps per-hypothesis singletons
     even when empty); they are never useful and never picked.
     """
 
     __slots__ = ("elements", "weights", "sets", "exact", "zero", "_pos",
-                 "_set_masks")
+                 "set_masks")
 
     def __init__(self, elements: Sequence[int], weights: Sequence[Number],
                  sets: Sequence[Iterable[int]]):
         self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+        self._pos = pos = {e: i for i, e in enumerate(self.elements)}
+        if len(pos) != len(self.elements):
             raise ParameterError("duplicate universe elements")
         if len(weights) != len(self.elements):
             raise ParameterError("one weight per universe element required")
         self.weights, self.exact, self.zero = coerce_weights(weights)
-        self._pos = {e: i for i, e in enumerate(self.elements)}
         frozen = []
         masks = []
         for s in sets:
             fs = frozenset(s)
-            stray = fs - set(self.elements)
+            stray = fs.difference(pos)
             if stray:
                 raise ParameterError(f"set members {sorted(stray)} outside the universe")
             frozen.append(fs)
             mask = 0
             for e in fs:
-                mask |= 1 << self._pos[e]
+                mask |= 1 << pos[e]
             masks.append(mask)
         self.sets = tuple(frozen)
-        self._set_masks = tuple(masks)
+        self.set_masks = tuple(masks)
 
     @property
     def n_elements(self) -> int:
@@ -77,11 +86,11 @@ class MsscInstance:
 
     def covers_universe(self) -> bool:
         union = 0
-        for m in self._set_masks:
+        for m in self.set_masks:
             union |= m
         return union == (1 << len(self.elements)) - 1
 
-    def _mask_weight(self, mask: int) -> Number:
+    def mask_weight(self, mask: int) -> Number:
         total = self.zero
         w = self.weights
         while mask:
@@ -102,16 +111,16 @@ class MsscInstance:
         full = (1 << len(self.elements)) - 1
         covered = 0
         for j in prefix:
-            covered |= self._set_masks[j - 1]
+            covered |= self.set_masks[j - 1]
         order = list(prefix)
         while covered != full:
             best_j = 0
             best_w = None
-            for j, mask in enumerate(self._set_masks, start=1):
+            for j, mask in enumerate(self.set_masks, start=1):
                 gain = mask & ~covered
                 if not gain:
                     continue
-                w = self._mask_weight(gain)
+                w = self.mask_weight(gain)
                 if best_w is None or w > best_w:
                     best_w = w
                     best_j = j
@@ -120,7 +129,7 @@ class MsscInstance:
                 raise ParameterError(
                     f"sets do not cover the universe; uncovered: {residue}")
             order.append(best_j)
-            covered |= self._set_masks[best_j - 1]
+            covered |= self.set_masks[best_j - 1]
         return order
 
     # -- text format --------------------------------------------------------
@@ -204,7 +213,7 @@ def mssc_cost(inst: MsscInstance, sol: OrderLike) -> Number:
     cover_step: dict[int, int] = {}
     covered = 0
     for step, j in enumerate(order, start=1):
-        new = inst._set_masks[j - 1] & ~covered
+        new = inst.set_masks[j - 1] & ~covered
         covered |= new
         while new:
             low = new & -new
@@ -221,8 +230,8 @@ def mssc_cost(inst: MsscInstance, sol: OrderLike) -> Number:
     covered = 0
     by_prefix = inst.zero
     for j in order:
-        by_prefix += inst._mask_weight(full & ~covered)
-        covered |= inst._set_masks[j - 1]
+        by_prefix += inst.mask_weight(full & ~covered)
+        covered |= inst.set_masks[j - 1]
 
     if not close(by_cover_time, by_prefix):
         raise StructureError(
@@ -251,11 +260,11 @@ def is_greedy_order(inst: MsscInstance, sol: OrderLike) -> bool:
     for j in order:
         if covered == full:
             break
-        best = max(inst._mask_weight(m & ~covered) for m in inst._set_masks)
-        own = inst._mask_weight(inst._set_masks[j - 1] & ~covered)
+        best = max(inst.mask_weight(m & ~covered) for m in inst.set_masks)
+        own = inst.mask_weight(inst.set_masks[j - 1] & ~covered)
         if own < best and not close(own, best):
             return False
-        covered |= inst._set_masks[j - 1]
+        covered |= inst.set_masks[j - 1]
     return covered == full
 
 
@@ -272,7 +281,7 @@ def mssc_optimal(inst: MsscInstance) -> MsscSolution:
         raise ParameterError("sets do not cover the universe")
     distinct: list[tuple[int, int]] = []  # (original 1-based index, mask)
     seen_masks: set[int] = set()
-    for j, mask in enumerate(inst._set_masks, start=1):
+    for j, mask in enumerate(inst.set_masks, start=1):
         if mask and mask not in seen_masks:
             seen_masks.add(mask)
             distinct.append((j, mask))
@@ -303,7 +312,7 @@ def mssc_optimal(inst: MsscInstance) -> MsscSolution:
         if s not in best:
             continue
         here = best[s]
-        step_cost = total - inst._mask_weight(s)
+        step_cost = total - inst.mask_weight(s)
         for j, mask in distinct:
             t = s | mask
             if t == s:
@@ -363,31 +372,28 @@ def induced_mssc(inst: DTInstance, tree: DecisionTree, chain) -> MsscInstance:
     return MsscInstance(elements, weights, sets)
 
 
-def chain_order(inst: DTInstance, tree: DecisionTree, chain) -> MsscSolution:
+def chain_order(inst: DTInstance, tree: DecisionTree, chain, labels,
+                cover: MsscInstance) -> MsscSolution:
     """The ordering that reads the chain's tests off top-down, inserting the
     heavy singleton after the last non-heavy vertex, then completing greedily.
 
-    On chains of greedy trees this ordering is itself greedy (every pick
-    attains the maximum remaining weight), which tests can verify with
+    `cover` is the chain's `induced_mssc` instance, and `labels` the tree's
+    `chains.VertexLabels`: each vertex's heavy hypothesis is its label's
+    `heavy`.  On chains of greedy trees this ordering is itself greedy (every
+    pick attains the maximum remaining weight), which tests can verify with
     `is_greedy_order`.
     """
-    recs = _chain_records(tree, chain)
-    m_inst = induced_mssc(inst, tree, chain)
-    tests = [rec.test for rec in recs]
+    tests = [tree.node(v).test for v in chain]
+    heavies = [labels[v].heavy for v in chain]
 
     ell0 = 0
-    heavies = [heavy_hypothesis(inst, rec.mask, rec.test)
-               for rec in recs]
     for idx, h in enumerate(heavies, start=1):
         if h is None:
             ell0 = idx
-    if ell0 == len(recs):
-        prefix = list(tests)
+    if ell0 == len(chain):
+        prefix = tests
     else:
-        h0 = heavies[ell0]
-        if h0 is None:
-            raise StructureError("heavy hypothesis missing past the heavy boundary")
-        prefix = tests[:ell0] + [inst.m + h0] + tests[ell0:]
+        prefix = tests[:ell0] + [inst.m + heavies[ell0]] + tests[ell0:]
 
-    order = m_inst.greedy_completion(prefix)
-    return MsscSolution(tuple(order), mssc_cost(m_inst, order))
+    order = cover.greedy_completion(prefix)
+    return MsscSolution(tuple(order), mssc_cost(cover, order))

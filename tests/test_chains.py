@@ -181,11 +181,12 @@ def test_heavy_path_on_fixture():
 def test_heavy_cover_sets_on_fixture():
     inst = skewed4()
     tree = build_greedy_tree(inst)
-    universe, weights, sets = heavy_cover_instance(inst, tree, 0, 1)
-    assert universe == (2, 3, 4)
-    assert weights[2] == Fraction(1, 8)
+    cover = heavy_cover_instance(inst, tree, 0, 1)
+    assert cover.elements == (2, 3, 4)
+    assert cover.weights[0] == Fraction(1, 8)
     # per test: elements answering differently from h=1
-    assert sets == (frozenset({2, 3, 4}), frozenset({2}), frozenset({3}))
+    assert cover.sets == (frozenset({2, 3, 4}), frozenset({2}), frozenset({3}))
+    assert cover.set_masks == (0b111, 0b001, 0b010)
 
 
 def test_heavy_cover_rejects_foreign_hypothesis():

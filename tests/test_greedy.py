@@ -12,15 +12,15 @@ from splitwise import (
     ParameterError,
     UnsplittableSetError,
     build_greedy_tree,
+    classify_vertices,
     cost,
     gen_grid_adversarial,
     gen_random,
     greedy_choice,
-    heavy_hypothesis,
+    heavy_above,
     interior_weight_sum,
     is_complete,
     majority_parts,
-    majority_split,
     optimal_cost,
     structural_problems,
     tree_to_text,
@@ -107,7 +107,7 @@ def test_majority_tie_prefers_largest_answer():
         [(1, 2)],
         2,
     )
-    a, mask = majority_split(inst, 0b11, 1)
+    a, mask, _ = majority_parts(inst, 0b11, (1,))[0]
     assert a == 2
     assert mask == 0b10
     assert inst.mask_num(0b11 & ~mask) == inst.mask_num(0b01)
@@ -122,7 +122,7 @@ def test_heavy_hypothesis_detection():
         2,
     )
     smask = inst.full_mask
-    a, mask = majority_split(inst, smask, 1)
+    a, mask, _ = majority_parts(inst, smask, (1,))[0]
     assert (a, mask) == (1, 0b0001)
     # p^- = 4/10; only h=1 exceeds it
     assert heavy_hypothesis(inst, smask, 1) == 1
@@ -199,7 +199,7 @@ def test_minority_mass_never_increases_downward():
         minority = {
             rec.id: inst.mask_num(
                 rec.mask
-                & ~majority_split(inst, rec.mask, rec.test)[1])
+                & ~majority_parts(inst, rec.mask, (rec.test,))[0][1])
             for rec in tree.records if not rec.is_leaf
         }
         for rec in tree.records:
@@ -315,3 +315,34 @@ def test_greedy_tree_matches_per_bit_scan_on_skew(K, exact, monkeypatch):
     ref = build_greedy_tree(inst)
     assert tree_to_text(tree) == tree_to_text(ref)
     assert [rec.mask for rec in tree.records] == [rec.mask for rec in ref.records]
+
+
+# ---------------------------------------------------------------------------
+# differential check of the classification's heavy hypotheses
+# ---------------------------------------------------------------------------
+
+def heavy_hypothesis(inst: DTInstance, smask: int, j: int):
+    """The heavy hypothesis of the node (smask, test j), derived on its own
+    from the node's majority split.  The reference `VertexLabel.heavy` must
+    match on every interior vertex."""
+    _, maj_mask, _ = majority_parts(inst, smask, (j,))[0]
+    return heavy_above(inst, smask, inst.mask_num(smask & ~maj_mask))
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("exact", [True, False])
+def test_labels_heavy_matches_reference(K, exact):
+    vertices = heavy = 0
+    seed = 100 * K + exact
+    for profile in ("uniform", "skew", "two-tier"):
+        for n in (4, 9, 16, 40):
+            seed += 1
+            inst = gen_random(n, 8, K, seed, profile=profile, exact=exact)
+            tree = build_greedy_tree(inst)
+            labels = classify_vertices(tree, inst, Fraction(1, 2))
+            for rec in tree.interior_records():
+                want = heavy_hypothesis(inst, rec.mask, rec.test)
+                assert labels[rec.id].heavy == want, (profile, n, rec.id)
+                vertices += 1
+                heavy += want is not None
+    assert vertices >= 100 and heavy >= 10, (vertices, heavy)

@@ -188,6 +188,22 @@ def test_from_text_rejects_garbage():
         DTInstance.from_text("2 1 2\n1/2 1/2\n1 3\n")      # answer out of range
 
 
+@pytest.mark.parametrize("answer", ["x", "1.5", "1/2"])
+def test_non_integer_answer_named_in_error(answer):
+    text = f"2 3 2\n1/2 1/2\n1 2\n2 {answer}\nq 1\n"
+    with pytest.raises(FormatError, match=r"^test 2: non-integer answer$"):
+        DTInstance.from_text(text)
+    obj = {"weights": ["1/2", "1/2"], "tests": [[1, 2], [2, answer], ["q", 1]]}
+    with pytest.raises(FormatError,
+                       match=r"^bad instance document: test 2: non-integer answer$"):
+        DTInstance.from_json_obj(obj)
+
+
+def test_short_row_named_before_later_rows_are_read():
+    with pytest.raises(FormatError, match=r"^test 1: expected 2 answers, found 1$"):
+        DTInstance.from_text("2 2 2\n1/2 1/2\n1\nx y\n")
+
+
 def test_number_formatting():
     assert format_number(Fraction(5, 3)) == "5/3"
     assert format_number(Fraction(4, 2)) == "2"

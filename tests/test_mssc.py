@@ -119,6 +119,11 @@ def test_duplicate_elements_rejected():
         MsscInstance((1, 1), [Fraction(1, 2), Fraction(1, 2)], [frozenset({1})])
 
 
+def test_members_outside_universe_rejected():
+    with pytest.raises(ParameterError, match=r"members \[3, 9\] outside the universe"):
+        MsscInstance((1, 2), [Fraction(1, 2), Fraction(1, 2)], [{1}, {2, 9, 3}])
+
+
 # ---------------------------------------------------------------------------
 # greedy and optimal
 # ---------------------------------------------------------------------------
@@ -254,7 +259,7 @@ def test_chain_orders_are_greedy_on_greedy_trees():
         decomp = chain_decomposition(labels, tree)
         for s, chain in decomp.iter_chains():
             m_inst = induced_mssc(inst, tree, chain)
-            sol = chain_order(inst, tree, chain)
+            sol = chain_order(inst, tree, chain, labels, m_inst)
             assert is_greedy_order(m_inst, sol.order), (
                 f"case {idx}: level-{s} chain {chain} gave a non-greedy order"
             )
