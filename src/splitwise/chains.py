@@ -29,7 +29,7 @@ from typing import Iterator
 from .errors import BudgetExceededError, ParameterError, StructureError
 from .greedy import heavy_above, majority_parts
 from .instance import (REL_TOL, DTInstance, Number, close, has_two_sided_test,
-                       iter_bits, ln, log2)
+                       iter_bits, left_sum, ln, log2)
 from .mssc import (MsscInstance, chain_order, induced_mssc, is_greedy_order,
                    mssc_optimal)
 from .report import AuditLine, make_line
@@ -84,16 +84,15 @@ class VertexLabels:
         return tuple(i for i, lab in self.labels.items() if s in lab.levels)
 
     def balanced_weight(self) -> Number:
-        return sum((lab.weight for lab in self.labels.values() if lab.balanced),
-                   start=self.zero)
+        return left_sum((lab.weight for lab in self.labels.values() if lab.balanced),
+                        self.zero)
 
     def imbalanced_weight(self) -> Number:
-        return sum((lab.weight for lab in self.labels.values() if not lab.balanced),
-                   start=self.zero)
+        return left_sum((lab.weight for lab in self.labels.values()
+                         if not lab.balanced), self.zero)
 
     def heavy_weight(self) -> Number:
-        return sum((lab.q for lab in self.labels.values()),
-                   start=self.zero)
+        return left_sum((lab.q for lab in self.labels.values()), self.zero)
 
     def __repr__(self) -> str:
         imb = sum(1 for lab in self.labels.values() if not lab.balanced)
@@ -453,8 +452,7 @@ def imbalanced_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
     lines.append(make_line("heavy_sum", q_sum, rhs_q))
 
     paths = heavy_paths(labels, tree, inst)
-    per_h = sum((hp.q * hp.length for hp in paths.values()),
-                start=labels.zero)
+    per_h = left_sum((hp.q * hp.length for hp in paths.values()), labels.zero)
     lines.append(make_line("heavy_identity", q_sum, per_h,
                            passed=close(q_sum, per_h)))
     return lines
@@ -522,8 +520,8 @@ def chain_mssc_audit(tree: DecisionTree, inst: DTInstance, delta: Number,
                                    level=str(s),
                                    passed=is_greedy_order(m_inst, sol.order),
                                    note=f"head {chain[0]}"))
-            covered = sum((labels[v].weight - labels[v].q for v in chain),
-                          start=labels.zero)
+            covered = left_sum((labels[v].weight - labels[v].q for v in chain),
+                               labels.zero)
             lines.append(make_line("chain_weight", covered, sol.cost,
                                    level=str(s), note=f"head {chain[0]}"))
             try:

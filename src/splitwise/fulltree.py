@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .errors import NonUniformError, ParameterError, StructureError
 from .exact import ExactSolver
 from .greedy import build_greedy_node
-from .instance import DTInstance, Number, close, log2, require_valid
+from .instance import DTInstance, Number, close, left_sum, log2, require_valid
 from .report import AuditLine, make_line
 from .tree import DecisionTree, Entries, cost
 
@@ -308,8 +308,8 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
     levels = sorted(by_level)
     top = max(levels, default=-1)
     for i in range(top + 1):
-        cur = sum((r.weight for r in by_level.get(i, [])), start=zero)
-        nxt = sum((r.weight for r in by_level.get(i + 1, [])), start=zero)
+        cur = left_sum((r.weight for r in by_level.get(i, [])), zero)
+        nxt = left_sum((r.weight for r in by_level.get(i + 1, [])), zero)
         lines.append(make_line("weight_contraction", nxt,
                                factor * float(cur), level=str(i + 1)))
 
@@ -317,8 +317,8 @@ def audit_trace(trace: RecursionTrace, inst: DTInstance,
         # per-level contributions are raw, so scale C_opt back to raw units
         total_mass = inst.mask_weight(inst.full_mask)
         for i in levels:
-            contrib = sum((r.weight * r.partial_cost for r in by_level[i]),
-                          start=zero)
+            contrib = left_sum((r.weight * r.partial_cost for r in by_level[i]),
+                               zero)
             lines.append(make_line("level_contribution", contrib,
                                    exact_c_opt * total_mass, level=str(i)))
         lines.append(make_line("fulltree_bound", trace.total_cost,

@@ -23,9 +23,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from typing import Iterator
 
 from .errors import GenerationError, ParameterError
-from .instance import DTInstance, Number, iter_bits, validate_instance
+from .instance import DTInstance, Number, iter_bits, left_sum, validate_instance
 from .tree import DecisionTree, grow
 
 MAX_ATTEMPTS = 100
@@ -43,10 +45,10 @@ def _random_weights(rng: random.Random, n: int, profile: str,
         return [Fraction(1, n)] * n if exact else [1.0 / n] * n
     if profile == "skew":
         if exact:
-            raws = [Fraction(rng.randrange(1, 101)) for _ in range(n)]
+            raws = [Fraction(r) for r in islice(randrange_stream(rng, 100), n)]
         else:
             raws = [rng.expovariate(1.0) for _ in range(n)]
-        total = sum(raws)
+        total = left_sum(raws, 0)
         return [w / total for w in raws]
     # two-tier: one heavy hypothesis at ratio * the common light weight
     if ratio < 1:
@@ -56,6 +58,18 @@ def _random_weights(rng: random.Random, n: int, profile: str,
     heavy = Fraction(ratio) if exact else float(ratio)
     total = heavy + (n - 1)
     return [heavy / total] + [1 / total if exact else 1.0 / total] * (n - 1)
+
+
+def randrange_stream(rng: random.Random, K: int) -> Iterator[int]:
+    """Endless draws of `rng.randrange(1, K + 1)`, from the same stream.
+
+    randrange draws r = getrandbits(K.bit_length()) and draws again while
+    r >= K (CPython 3.11 and 3.12).  This is that loop as a chain of lazy
+    iterators: each value read takes from `rng` exactly what randrange
+    would, and nothing is drawn ahead of the reader.
+    """
+    draws = map(rng.getrandbits, repeat(K.bit_length()))
+    return map((1).__add__, filter(K.__gt__, draws))
 
 
 def gen_random(n: int, m: int, K: int, seed: int, profile: str = "uniform",
@@ -75,8 +89,9 @@ def gen_random(n: int, m: int, K: int, seed: int, profile: str = "uniform",
     if exact:
         total = sum(weights)
         weights = [w / total for w in weights]
+    answers = randrange_stream(rng, K)
     for _ in range(MAX_ATTEMPTS):
-        tests = [[rng.randrange(1, K + 1) for _ in range(n)] for _ in range(m)]
+        tests = [list(islice(answers, n)) for _ in range(m)]
         inst = DTInstance(weights, tests, K)
         if validate_instance(inst).ok:
             return inst

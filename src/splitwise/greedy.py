@@ -6,12 +6,33 @@ k+ of a split is the heaviest nonempty part, ties toward the LARGEST answer
 index; the minority mass p^-(v) = p(v) - p(v+) is the quantity the chain
 analysis tracks down the tree.
 
-`majority_parts` is the one split primitive.  On weighted instances it lists
-a set's members at most once per call and weighs every answer part of a test
-in one scan over those members' entries in the test's row, adding raw
-weights in ascending hypothesis order from the mode's zero: the numbers and
-the order of `DTInstance.mask_num`, so float trees are the same as a
-per-part sum's.
+`majority_parts` is the one split primitive, for the analysis that needs k+
+and the part masks.  On weighted instances it lists a set's members at most
+once per call and weighs every answer part of a test in one scan over those
+members' entries in the test's row, adding raw weights in ascending
+hypothesis order from the mode's zero: the numbers and the order of
+`DTInstance.mask_num`, so float trees are the same as a per-part sum's.
+
+The greedy choice itself needs only each test's max part, and stops weighing
+once its choice is settled:
+
+- Lower-bound stop.  Tests are weighed in ascending order, and the first
+  whose max part equals a lower bound on every test's max part is chosen: it
+  is optimal, and no earlier test tied it.  On a uniform set of s members the
+  bound is ceil(s/K) members' weight.  On a weighted set it is the largest
+  member weight: the part holding that member sums to at least it, since
+  adding a non-negative float never rounds below an addend.
+- Bit-planes.  A large weighted set weighs its parts from the instance's
+  `weight_planes`, a few big-int ANDs and popcounts per part instead of a
+  scan over its members; the last part is the set's total less the others.
+  In exact mode these are the numerators, exact.  In float mode they are the
+  weights floored to 20 bits, which only bound each float part to an
+  interval.  They rule out the tests that cannot win, and the survivors are
+  weighed again by the member scan, so float trees keep every bit of
+  `majority_parts`'s sums.
+
+Both rest on non-negative, finite weights.  An instance with a negative or
+non-finite weight is weighed by `majority_parts` in full.
 """
 
 from __future__ import annotations
@@ -19,6 +40,14 @@ from __future__ import annotations
 from .errors import ParameterError, StructureError, UnsplittableSetError
 from .instance import DTInstance, SetLike, iter_bits, require_distinguishable
 from .tree import DecisionTree, grow
+
+PLANE_MIN_SET = 256
+PLANE_MEMBERS = 8
+"""A weighted set is weighed from bit-planes when it has at least
+PLANE_MIN_SET members, and at least PLANE_MEMBERS members per plane per part
+weighed, (K - 1) parts per test: one plane costs about as much as adding
+eight members' weights, and the instance's planes are built at its first
+set that large."""
 
 
 def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
@@ -28,8 +57,7 @@ def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
     weight in raw numerator units).  The majority part is the heaviest
     nonempty part, ties to the largest answer.  A test that does not split
     smask (one answer holds all of it) has the whole set as its majority
-    part and weight None.  All tests of a set are scanned in one call, since
-    this is greedy's hot loop.
+    part and weight None.  All tests of a set are scanned in one call.
 
     On weighted instances the set's members are listed at most once per
     call, when the first splitting test is met, and each splitting test's
@@ -81,22 +109,188 @@ def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
 
 
 def _greedy_split(inst: DTInstance, smask: int, tests) -> tuple[int, list[int]]:
-    """(the greedy test at smask among `tests`, the other tests that split
-    smask).  `tests` must be ascending so that ties go to the smallest index.
+    """(the greedy test at smask among `tests`, the tests to weigh its parts
+    with).  `tests` must be ascending so that ties go to the smallest index.
+
+    The list holds, ascending, every weighed test that splits smask except
+    the chosen one, and every test the lower-bound stop left unweighed.
+    """
+    count = smask.bit_count()
+    wn = inst._wnum
+    if not inst._nonnegative:       # no lower bound holds: weigh every test
+        nums = [num for _, _, num in majority_parts(inst, smask, tests)]
+        choice = _settle(tests, dict(zip(tests, nums)).__getitem__, None)
+    elif inst._uniform:
+        choice = _settle(tests, _uniform_weigher(inst, smask, count),
+                         -(-count // inst.k) * wn[0])
+    elif (count >= PLANE_MIN_SET and (planes := inst.weight_planes())
+          and count >= PLANE_MEMBERS * (inst.k - 1) * len(planes)):
+        if inst.exact:
+            lb = 0      # the largest member numerator, read top plane down
+            cand = smask
+            for b in range(len(planes) - 1, -1, -1):
+                if x := cand & planes[b]:
+                    cand = x
+                    lb |= 1 << b
+            choice = _settle(tests, _plane_weigher(inst, smask, planes), lb)
+        else:
+            choice = _float_plane_split(inst, smask, tests, planes, count)
+    else:
+        members = list(iter_bits(smask))
+        choice = _settle(tests, _member_weigher(inst, smask, members),
+                         max(map(wn.__getitem__, members)))
+    if choice is None:
+        raise UnsplittableSetError(
+            f"instance invalid at set of size {count}: no test splits it")
+    return choice
+
+
+def _settle(tests, weigh, lb):
+    """The greedy choice among `tests` by `weigh(j)`, a test's max part in raw
+    numerator units or None when j does not split the set, as
+    `_greedy_split` returns it; None when no test splits the set.
+
+    `lb` is a lower bound on every test's max part, or None.  The first test
+    that reaches it is optimal and wins the tie rule, so the tests after it
+    are not weighed.
     """
     best_j = 0
     best_num = None
     splitting = []
-    for j, (_, _, num) in zip(tests, majority_parts(inst, smask, tests)):
-        if num is not None:
-            splitting.append(j)
-            if best_num is None or num < best_num:
-                best_num = num
-                best_j = j
+    for pos, j in enumerate(tests):
+        num = weigh(j)
+        if num is None:
+            continue
+        if best_num is None or num < best_num:
+            if num == lb:
+                splitting.extend(tests[pos + 1:])
+                return j, splitting
+            best_j, best_num = j, num
+        splitting.append(j)
     if best_j == 0:
-        raise UnsplittableSetError(
-            f"instance invalid at set of size {smask.bit_count()}: no test splits it"
-        )
+        return None
+    splitting.remove(best_j)
+    return best_j, splitting
+
+
+def _uniform_weigher(inst: DTInstance, smask: int, count: int):
+    """The largest part's member count times the common weight, the product
+    `majority_parts` takes for that part."""
+    answer_masks = inst._answer_masks
+    w = inst._wnum[0]
+
+    def weigh(j):
+        big = 0
+        for am in answer_masks[j - 1]:
+            c = (smask & am).bit_count()
+            if c == count:
+                return None
+            if c > big:
+                big = c
+        return big * w
+    return weigh
+
+
+def _member_weigher(inst: DTInstance, smask: int, members: list[int]):
+    """Each part summed over `members` in ascending order from the mode's
+    zero, as `majority_parts` sums it."""
+    answer_masks = inst._answer_masks
+    rows = inst.tests
+    wn = inst._wnum
+    zero = 0 if inst.exact else 0.0
+    width = inst.k + 1          # by answer; 0 unused
+
+    def weigh(j):
+        for am in answer_masks[j - 1]:
+            if pm := smask & am:
+                if pm == smask:
+                    return None
+                break
+        nums = [zero] * width
+        row = rows[j - 1]
+        for i in members:
+            nums[row[i]] += wn[i]
+        return max(nums)
+    return weigh
+
+
+def _plane_parts(inst: DTInstance, smask: int, planes: tuple[int, ...]):
+    """(the set's nonempty planes as (bit, members) pairs, the set's total in
+    plane units, a function from a test to its nonempty parts or to None when
+    the test does not split the set)."""
+    answer_masks = inst._answer_masks
+    bits = [(b, sp) for b, p in enumerate(planes) if (sp := smask & p)]
+
+    def parts(j):
+        out = [pm for am in answer_masks[j - 1] if (pm := smask & am)]
+        return out if len(out) > 1 else None
+    return bits, _plane_sum(bits, smask), parts
+
+
+def _plane_sum(bits, pm: int) -> int:
+    """The part pm in plane units: sum_b popcount(pm & plane_b) << b."""
+    q = 0
+    for b, sp in bits:
+        q += (pm & sp).bit_count() << b
+    return q
+
+
+def _plane_weigher(inst: DTInstance, smask: int, planes: tuple[int, ...]):
+    """Exact parts read from the numerators' bit-planes; the last part is the
+    set's total less the others."""
+    bits, total, parts = _plane_parts(inst, smask, planes)
+
+    def weigh(j):
+        ps = parts(j)
+        if ps is None:
+            return None
+        big = 0
+        left = total
+        for pm in ps[:-1]:
+            q = _plane_sum(bits, pm)
+            left -= q
+            if q > big:
+                big = q
+        return left if left > big else big
+    return weigh
+
+
+def _float_plane_split(inst: DTInstance, smask: int, tests,
+                       planes: tuple[int, ...], count: int):
+    """`_greedy_split` on float weights, filtered by the planes of
+    floor(w * 2**s).
+
+    A part of c members with plane weight Q has a true sum in [Q, Q + c)
+    units, and its float sum, added left to right, lies within
+    (Q + c) * (c - 1) * 2**-53 units of that.  So each part lies within
+    +-(c + ((Q + c) * c >> 51) + 1) units of Q, and a test's max part between
+    the largest lower end and the largest upper end of its parts.  A test
+    whose lower end is above the smallest upper end cannot be the greedy
+    choice.  The survivors, when there is more than one, are
+    weighed by the member scan.
+    """
+    bits, total, parts = _plane_parts(inst, smask, planes)
+    splitting, lows, highs = [], [], []
+    for j in tests:
+        ps = parts(j)
+        if ps is None:
+            continue
+        sized = [(_plane_sum(bits, pm), pm.bit_count()) for pm in ps[:-1]]
+        sized.append((total - sum(q for q, _ in sized),
+                      count - sum(c for _, c in sized)))
+        spans = [(q, c + ((q + c) * c >> 51) + 1) for q, c in sized]
+        splitting.append(j)
+        lows.append(max(q - e for q, e in spans))
+        highs.append(max(q + e for q, e in spans))
+    if not splitting:
+        return None
+    cut = min(highs)
+    survivors = [j for j, lo in zip(splitting, lows) if lo <= cut]
+    best_j = survivors[0]
+    if len(survivors) > 1:
+        members = list(iter_bits(smask))
+        best_j = _settle(survivors, _member_weigher(inst, smask, members),
+                         max(map(inst._wnum.__getitem__, members)))[0]
     splitting.remove(best_j)
     return best_j, splitting
 
@@ -114,9 +308,12 @@ def build_greedy_node(inst: DTInstance, smask: int) -> DecisionTree:
     """Greedy subtree over a raw bitmask (no validity pre-check): `grow` with
     the greedy split as its rule.
 
-    The rule's context is the list of tests that split the set: a set is
-    scanned only with the tests that split its parent, less the parent's own
-    test, since a test that does not split a set splits none of its subsets.
+    The rule's context is the list of tests a set is weighed with: the
+    tests that split its parent, less the parent's own test, since a test
+    that does not split a set splits none of its subsets, plus the tests the
+    parent's lower-bound stop left unweighed.  Those may not split the set,
+    and are skipped when they do not, so the context changes only the work,
+    never the choice.
     """
     def rule(s: int, tests):
         return None if s.bit_count() == 1 else _greedy_split(inst, s, tests)

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import FormatError, InvalidInstanceError, ParameterError
@@ -29,6 +31,8 @@ Number = Union[Fraction, float]
 
 FLOAT_SUM_TOL = 1e-9
 REL_TOL = 1e-9
+FLOAT_PLANE_BITS = 20     # float weights' bit-planes: see `weight_planes`
+MAX_PLANE_BITS = 64       # exact numerators wider than this get no planes
 
 
 # ----------------------------------------------------------------------------
@@ -67,6 +71,22 @@ def close(a, b) -> bool:
         return a == b
     x, y = float(a), float(b)
     return abs(x - y) <= REL_TOL * max(1.0, abs(x), abs(y))
+
+
+def left_sum(xs: Iterable, start):
+    """start + x1 + x2 + ..., added left to right.  The builtin `sum()` adds
+    floats with compensation from Python 3.12, so float sums, and every
+    float printed from them, would depend on the interpreter."""
+    return reduce(operator.add, xs, start)
+
+
+def json_int(value, error: str) -> int:
+    """The one rule for an integer read from a JSON document: a JSON integer,
+    which Python reads as an int that is not a bool.  Floats, bools and
+    strings raise FormatError(error); they are never truncated or parsed."""
+    if type(value) is not int:
+        raise FormatError(error)
+    return value
 
 
 def log2(x: Number) -> float:
@@ -138,7 +158,7 @@ class DTInstance:
     __slots__ = (
         "n", "m", "k", "weights", "tests", "exact", "zero", "norm", "origin",
         "_wnum", "_wden", "_answer_masks", "_uniform", "_full_mask",
-        "_undistinguished",
+        "_undistinguished", "_nonnegative", "_planes",
     )
 
     def __init__(
@@ -180,7 +200,7 @@ class DTInstance:
         self.exact = exact
         self.zero = zero
         self.origin = origin
-        self.norm = sum(ws, zero)
+        self.norm = left_sum(ws, zero)
         self._full_mask = (1 << n) - 1
         self._uniform = all(w == ws[0] for w in ws)
 
@@ -193,6 +213,8 @@ class DTInstance:
         else:
             self._wden = None
             self._wnum = ws
+        # every weight finite and >= 0: what greedy's lower bounds rest on
+        self._nonnegative = all(0 <= w < math.inf for w in self._wnum)
 
         # A row read as a string of chr(answer), last hypothesis first; its
         # answer-a mask is that string translated to '1' at chr(a) and '0' at
@@ -209,6 +231,7 @@ class DTInstance:
                                  for t in tables]))
         self._answer_masks = tuple(amasks)
         self._undistinguished = None
+        self._planes = None
 
     # -- hypothesis sets ------------------------------------------------
 
@@ -269,6 +292,37 @@ class DTInstance:
             self._undistinguished = tuple(undistinguished_pairs(self, self._full_mask))
         return self._undistinguished
 
+    def weight_planes(self) -> tuple[int, ...]:
+        """The weights' bit-planes, built once per instance: plane b is the
+        mask of the hypotheses whose integer weight has bit b set.  The
+        integer weight is the numerator (`mask_num`'s unit) in exact mode and
+        floor(w * 2**s) in float mode, with s chosen so that the largest is
+        below 2**FLOAT_PLANE_BITS.  Empty when some weight is negative or not
+        finite, which no plane sum can stand for, or when the numerators need
+        more than MAX_PLANE_BITS bits, which would cost n bytes per plane."""
+        if self._planes is None:
+            wn = self._wnum
+            self._planes = ()
+            if not self._nonnegative:
+                return self._planes
+            shift = 0 if self.exact else FLOAT_PLANE_BITS - math.frexp(max(wn))[1]
+
+            def as_int(w):
+                return w if self.exact else int(math.ldexp(w, shift))
+            width = max(1, as_int(max(wn)).bit_length())
+            if width > MAX_PLANE_BITS:
+                return self._planes
+            spec = f"0{width}b"
+            # each weight's bits as fixed-width ASCII, last hypothesis first,
+            # appended one at a time so that no list of n objects is alive at
+            # once; plane b is every width-th character, read in base 2
+            text = bytearray()
+            for w in reversed(wn):
+                text += format(as_int(w), spec).encode()
+            self._planes = tuple(int(text[width - 1 - b::width], 2)
+                                 for b in range(width))
+        return self._planes
+
     @property
     def uniform(self) -> bool:
         return self._uniform
@@ -310,7 +364,7 @@ class DTInstance:
         lines = [f"{self.n} {self.m} {self.k}"]
         lines.append(" ".join(format_number(w) for w in self.weights))
         for row in self.tests:
-            lines.append(" ".join(str(a) for a in row))
+            lines.append(" ".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -362,7 +416,11 @@ class DTInstance:
                 else (Fraction(w) if exact and not isinstance(w, float) else float(w))
                 for w in obj["weights"]
             ]
-            return cls(weights, obj["tests"], obj.get("k"))
+            tests = []
+            for j, row in enumerate(obj["tests"], start=1):
+                error = f"bad instance document: test {j}: non-integer answer"
+                tests.append([json_int(a, error) for a in row])
+            return cls(weights, tests, obj.get("k"))
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc
 
@@ -525,5 +583,5 @@ def round_weights(inst: DTInstance) -> DTInstance:
         raise ParameterError("rounding undefined for n < 2")
     floor = inst.as_number(Fraction(1, (n - 1) ** 2))
     clamped = [max(w, floor) for w in inst.weights]
-    total = sum(clamped, inst.zero)
+    total = left_sum(clamped, inst.zero)
     return DTInstance([w / total for w in clamped], inst.tests, inst.k)

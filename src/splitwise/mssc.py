@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, Union
 from .errors import BudgetExceededError, FormatError, ParameterError, StructureError
 from .greedy import majority_parts
 from .instance import (DTInstance, Number, close, coerce_weights, format_number,
-                       iter_bits, parse_number)
+                       iter_bits, left_sum, parse_number)
 from .tree import DecisionTree, NodeRecord
 
 # budget for the exact search: the covered-state space is bounded by
@@ -82,7 +82,7 @@ class MsscInstance:
         return len(self.sets)
 
     def total_weight(self) -> Number:
-        return sum(self.weights, self.zero)
+        return left_sum(self.weights, self.zero)
 
     def covers_universe(self) -> bool:
         union = 0
@@ -222,7 +222,7 @@ def mssc_cost(inst: MsscInstance, sol: OrderLike) -> Number:
     if covered != full:
         missing = inst.elements[(full & ~covered).bit_length() - 1]
         raise ParameterError(f"ordering leaves element {missing} uncovered")
-    by_cover_time = sum(
+    by_cover_time = left_sum(
         (inst.weights[i] * cover_step[i] for i in range(inst.n_elements)),
         inst.zero)
 

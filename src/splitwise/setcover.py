@@ -13,7 +13,7 @@ import math
 from itertools import combinations
 
 from .errors import BudgetExceededError, ParameterError
-from .instance import Number
+from .instance import Number, left_sum
 from .mssc import MsscInstance
 
 MAX_OPT_SETS = 20
@@ -50,7 +50,7 @@ def max_set_weight(cover: MsscInstance) -> Number:
     if not cover.n_sets:
         raise ParameterError("empty set family")
     weight = dict(zip(cover.elements, cover.weights))
-    return max(sum((weight[e] for e in fs), cover.zero) for fs in cover.sets)
+    return max(left_sum((weight[e] for e in fs), cover.zero) for fs in cover.sets)
 
 
 def greedy_cover_bound(p_star: Number, p_min: Number, ell_opt: int) -> float:

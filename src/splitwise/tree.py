@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .errors import FormatError, IncompleteTreeError, ParameterError, StructureError
-from .instance import DTInstance, Number, SetLike, iter_bits, members_of
+from .instance import (DTInstance, Number, SetLike, iter_bits, json_int,
+                       left_sum, members_of)
 
 
 class Entries:
@@ -307,8 +308,8 @@ def interior_weight_sum(tree: DecisionTree, inst: DTInstance) -> Number:
     trees (both computed against the tree's own root set)."""
     if not is_complete(tree, inst, H=tree.root.mask, b=None):
         raise IncompleteTreeError("identity requires completeness")
-    return inst.num_to_weight(
-        sum(inst.mask_num(rec.mask) for rec in tree.interior_records()))
+    return inst.num_to_weight(left_sum(
+        (inst.mask_num(rec.mask) for rec in tree.interior_records()), 0))
 
 
 # ----------------------------------------------------------------------------
@@ -411,13 +412,6 @@ def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTr
     return _attach_masks(shape, inst, inst.as_mask(H))
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; bools and floats are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> DecisionTree:
     shape = Entries()
     stack = [(obj, None, None)]
@@ -433,9 +427,9 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
         elif "test" not in o:
             raise FormatError("interior node missing 'test'")
         else:
-            test = _json_int(o["test"], "test")
+            test = json_int(o["test"], f"test must be an integer, got {o['test']!r}")
             try:
-                kids = [(_json_int(a, "answer"), sub)
+                kids = [(json_int(a, f"answer must be an integer, got {a!r}"), sub)
                         for a, sub in o.get("children", [])]
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"bad interior node: {exc}") from exc

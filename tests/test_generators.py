@@ -1,8 +1,10 @@
 """Instance generators: seeded randoms, the adversarial grid, the set-cover
 reduction family."""
 
+import hashlib
 import math
 import random
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from splitwise import (
     structural_problems,
     validate_instance,
 )
-from splitwise.generators import _good_sets
+from splitwise.generators import _good_sets, randrange_stream
 
 
 # ----------------------------------------------------------------------------
@@ -38,6 +40,31 @@ def test_gen_random_deterministic_bytes():
     assert a.to_text() == b.to_text()
     c = gen_random(9, 6, 3, seed=424243, profile="skew")
     assert a.to_text() != c.to_text()
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 8, 255, 256, 300, 1000])
+def test_randrange_stream_follows_randrange(K):
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        stream = randrange_stream(rng, K)
+        for count in (1, 7, 500):
+            assert list(islice(stream, count)) == \
+                [ref.randrange(1, K + 1) for _ in range(count)], (seed, count)
+            assert rng.getstate() == ref.getstate(), (seed, count)
+
+
+def test_gen_random_output_is_pinned():
+    # the digest of these documents as written when every answer was drawn
+    # by its own randrange call
+    cases = [(40, 12, 2, 1, "uniform", True), (300, 20, 3, 2, "skew", True),
+             (300, 20, 5, 3, "skew", False), (60, 10, 300, 4, "two-tier", False),
+             (25, 8, 256, 5, "skew", True)]
+    h = hashlib.sha256()
+    for n, m, K, seed, profile, exact in cases:
+        h.update(gen_random(n, m, K, seed, profile=profile, exact=exact)
+                 .to_text().encode())
+    assert h.hexdigest() == \
+        "3f3ed4d8180bd797fbe6b54b78ef2da2f96c20db6893c51ef01ab3c06e24b76a"
 
 
 def test_gen_random_always_valid():

@@ -22,6 +22,7 @@ from splitwise import (
     undistinguished_pairs,
     validate_instance,
 )
+from splitwise.instance import left_sum
 from conftest import random_exact_weights, random_valid_instance
 
 FLOAT_TOL = 1e-12
@@ -197,6 +198,21 @@ def test_non_integer_answer_named_in_error(answer):
     with pytest.raises(FormatError,
                        match=r"^bad instance document: test 2: non-integer answer$"):
         DTInstance.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("row", [[1, 2.7], [True, 2], [1, 2.0], [1, "2"], [1, None]])
+def test_json_answers_must_be_json_integers(row):
+    obj = {"weights": ["1/2", "1/2"], "tests": [row]}
+    with pytest.raises(FormatError,
+                       match=r"^bad instance document: test 1: non-integer answer$"):
+        DTInstance.from_json_obj(obj)
+
+
+def test_left_sum_adds_left_to_right():
+    # a compensated sum gives 1.0 here; a left fold loses the 1.0 to 1e16
+    assert left_sum([1e16, 1.0, -1e16], 0.0) == 0.0
+    assert left_sum([], Fraction(0)) == Fraction(0)
+    assert left_sum([Fraction(1, 3)] * 3, Fraction(0)) == 1
 
 
 def test_short_row_named_before_later_rows_are_read():
