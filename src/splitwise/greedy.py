@@ -14,24 +14,15 @@ hypothesis order from the mode's zero: the numbers and the order of
 `DTInstance.mask_num`, so float trees are the same as a per-part sum's.
 
 The greedy choice itself needs only each test's max part, and stops weighing
-once its choice is settled:
-
-- Lower-bound stop.  Tests are weighed in ascending order, and the first
-  whose max part equals a lower bound on every test's max part is chosen: it
-  is optimal, and no earlier test tied it.  On a uniform set of s members the
-  bound is ceil(s/K) members' weight.  On a weighted set it is the largest
-  member weight: the part holding that member sums to at least it, since
-  adding a non-negative float never rounds below an addend.
-- Bit-planes.  A large weighted set weighs its parts from the instance's
-  `weight_planes`, a few big-int ANDs and popcounts per part instead of a
-  scan over its members; the last part is the set's total less the others.
-  In exact mode these are the numerators, exact.  In float mode they are the
-  weights floored to 20 bits, which only bound each float part to an
-  interval.  They rule out the tests that cannot win, and the survivors are
-  weighed again by the member scan, so float trees keep every bit of
-  `majority_parts`'s sums.
-
-Both rest on non-negative, finite weights.  An instance with a negative or
+once its choice is settled.  Tests are weighed in ascending order, and the
+first whose max part equals a lower bound on every test's max part is
+chosen: it is optimal, and no earlier test tied it.  On a uniform set of s
+members the bound is ceil(s/K) members' weight.  On a weighted set it is the
+largest member weight: the part holding that member sums to at least it,
+since adding a non-negative float never rounds below an addend.  The stop
+only skips work: a test that is weighed is summed in `majority_parts`'s
+order from the same zero, so float trees keep every bit of its sums.  The
+bound rests on non-negative, finite weights; an instance with a negative or
 non-finite weight is weighed by `majority_parts` in full.
 """
 
@@ -40,14 +31,6 @@ from __future__ import annotations
 from .errors import ParameterError, StructureError, UnsplittableSetError
 from .instance import DTInstance, SetLike, iter_bits, require_distinguishable
 from .tree import DecisionTree, grow
-
-PLANE_MIN_SET = 256
-PLANE_MEMBERS = 8
-"""A weighted set is weighed from bit-planes when it has at least
-PLANE_MIN_SET members, and at least PLANE_MEMBERS members per plane per part
-weighed, (K - 1) parts per test: one plane costs about as much as adding
-eight members' weights, and the instance's planes are built at its first
-set that large."""
 
 
 def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
@@ -123,18 +106,6 @@ def _greedy_split(inst: DTInstance, smask: int, tests) -> tuple[int, list[int]]:
     elif inst._uniform:
         choice = _settle(tests, _uniform_weigher(inst, smask, count),
                          -(-count // inst.k) * wn[0])
-    elif (count >= PLANE_MIN_SET and (planes := inst.weight_planes())
-          and count >= PLANE_MEMBERS * (inst.k - 1) * len(planes)):
-        if inst.exact:
-            lb = 0      # the largest member numerator, read top plane down
-            cand = smask
-            for b in range(len(planes) - 1, -1, -1):
-                if x := cand & planes[b]:
-                    cand = x
-                    lb |= 1 << b
-            choice = _settle(tests, _plane_weigher(inst, smask, planes), lb)
-        else:
-            choice = _float_plane_split(inst, smask, tests, planes, count)
     else:
         members = list(iter_bits(smask))
         choice = _settle(tests, _member_weigher(inst, smask, members),
@@ -212,87 +183,6 @@ def _member_weigher(inst: DTInstance, smask: int, members: list[int]):
             nums[row[i]] += wn[i]
         return max(nums)
     return weigh
-
-
-def _plane_parts(inst: DTInstance, smask: int, planes: tuple[int, ...]):
-    """(the set's nonempty planes as (bit, members) pairs, the set's total in
-    plane units, a function from a test to its nonempty parts or to None when
-    the test does not split the set)."""
-    answer_masks = inst._answer_masks
-    bits = [(b, sp) for b, p in enumerate(planes) if (sp := smask & p)]
-
-    def parts(j):
-        out = [pm for am in answer_masks[j - 1] if (pm := smask & am)]
-        return out if len(out) > 1 else None
-    return bits, _plane_sum(bits, smask), parts
-
-
-def _plane_sum(bits, pm: int) -> int:
-    """The part pm in plane units: sum_b popcount(pm & plane_b) << b."""
-    q = 0
-    for b, sp in bits:
-        q += (pm & sp).bit_count() << b
-    return q
-
-
-def _plane_weigher(inst: DTInstance, smask: int, planes: tuple[int, ...]):
-    """Exact parts read from the numerators' bit-planes; the last part is the
-    set's total less the others."""
-    bits, total, parts = _plane_parts(inst, smask, planes)
-
-    def weigh(j):
-        ps = parts(j)
-        if ps is None:
-            return None
-        big = 0
-        left = total
-        for pm in ps[:-1]:
-            q = _plane_sum(bits, pm)
-            left -= q
-            if q > big:
-                big = q
-        return left if left > big else big
-    return weigh
-
-
-def _float_plane_split(inst: DTInstance, smask: int, tests,
-                       planes: tuple[int, ...], count: int):
-    """`_greedy_split` on float weights, filtered by the planes of
-    floor(w * 2**s).
-
-    A part of c members with plane weight Q has a true sum in [Q, Q + c)
-    units, and its float sum, added left to right, lies within
-    (Q + c) * (c - 1) * 2**-53 units of that.  So each part lies within
-    +-(c + ((Q + c) * c >> 51) + 1) units of Q, and a test's max part between
-    the largest lower end and the largest upper end of its parts.  A test
-    whose lower end is above the smallest upper end cannot be the greedy
-    choice.  The survivors, when there is more than one, are
-    weighed by the member scan.
-    """
-    bits, total, parts = _plane_parts(inst, smask, planes)
-    splitting, lows, highs = [], [], []
-    for j in tests:
-        ps = parts(j)
-        if ps is None:
-            continue
-        sized = [(_plane_sum(bits, pm), pm.bit_count()) for pm in ps[:-1]]
-        sized.append((total - sum(q for q, _ in sized),
-                      count - sum(c for _, c in sized)))
-        spans = [(q, c + ((q + c) * c >> 51) + 1) for q, c in sized]
-        splitting.append(j)
-        lows.append(max(q - e for q, e in spans))
-        highs.append(max(q + e for q, e in spans))
-    if not splitting:
-        return None
-    cut = min(highs)
-    survivors = [j for j, lo in zip(splitting, lows) if lo <= cut]
-    best_j = survivors[0]
-    if len(survivors) > 1:
-        members = list(iter_bits(smask))
-        best_j = _settle(survivors, _member_weigher(inst, smask, members),
-                         max(map(inst._wnum.__getitem__, members)))[0]
-    splitting.remove(best_j)
-    return best_j, splitting
 
 
 def greedy_choice(inst: DTInstance, S: SetLike) -> int:

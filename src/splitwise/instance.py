@@ -31,8 +31,6 @@ Number = Union[Fraction, float]
 
 FLOAT_SUM_TOL = 1e-9
 REL_TOL = 1e-9
-FLOAT_PLANE_BITS = 20     # float weights' bit-planes: see `weight_planes`
-MAX_PLANE_BITS = 64       # exact numerators wider than this get no planes
 
 
 # ----------------------------------------------------------------------------
@@ -80,12 +78,13 @@ def left_sum(xs: Iterable, start):
     return reduce(operator.add, xs, start)
 
 
-def json_int(value, error: str) -> int:
+def json_int(value, what: str) -> int:
     """The one rule for an integer read from a JSON document: a JSON integer,
     which Python reads as an int that is not a bool.  Floats, bools and
-    strings raise FormatError(error); they are never truncated or parsed."""
+    strings raise FormatError naming `what`; they are never truncated or
+    parsed."""
     if type(value) is not int:
-        raise FormatError(error)
+        raise FormatError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -158,7 +157,7 @@ class DTInstance:
     __slots__ = (
         "n", "m", "k", "weights", "tests", "exact", "zero", "norm", "origin",
         "_wnum", "_wden", "_answer_masks", "_uniform", "_full_mask",
-        "_undistinguished", "_nonnegative", "_planes",
+        "_undistinguished", "_nonnegative",
     )
 
     def __init__(
@@ -231,7 +230,6 @@ class DTInstance:
                                  for t in tables]))
         self._answer_masks = tuple(amasks)
         self._undistinguished = None
-        self._planes = None
 
     # -- hypothesis sets ------------------------------------------------
 
@@ -291,37 +289,6 @@ class DTInstance:
         if self._undistinguished is None:
             self._undistinguished = tuple(undistinguished_pairs(self, self._full_mask))
         return self._undistinguished
-
-    def weight_planes(self) -> tuple[int, ...]:
-        """The weights' bit-planes, built once per instance: plane b is the
-        mask of the hypotheses whose integer weight has bit b set.  The
-        integer weight is the numerator (`mask_num`'s unit) in exact mode and
-        floor(w * 2**s) in float mode, with s chosen so that the largest is
-        below 2**FLOAT_PLANE_BITS.  Empty when some weight is negative or not
-        finite, which no plane sum can stand for, or when the numerators need
-        more than MAX_PLANE_BITS bits, which would cost n bytes per plane."""
-        if self._planes is None:
-            wn = self._wnum
-            self._planes = ()
-            if not self._nonnegative:
-                return self._planes
-            shift = 0 if self.exact else FLOAT_PLANE_BITS - math.frexp(max(wn))[1]
-
-            def as_int(w):
-                return w if self.exact else int(math.ldexp(w, shift))
-            width = max(1, as_int(max(wn)).bit_length())
-            if width > MAX_PLANE_BITS:
-                return self._planes
-            spec = f"0{width}b"
-            # each weight's bits as fixed-width ASCII, last hypothesis first,
-            # appended one at a time so that no list of n objects is alive at
-            # once; plane b is every width-th character, read in base 2
-            text = bytearray()
-            for w in reversed(wn):
-                text += format(as_int(w), spec).encode()
-            self._planes = tuple(int(text[width - 1 - b::width], 2)
-                                 for b in range(width))
-        return self._planes
 
     @property
     def uniform(self) -> bool:
@@ -418,8 +385,11 @@ class DTInstance:
             ]
             tests = []
             for j, row in enumerate(obj["tests"], start=1):
-                error = f"bad instance document: test {j}: non-integer answer"
-                tests.append([json_int(a, error) for a in row])
+                try:
+                    tests.append([json_int(a, "answer") for a in row])
+                except FormatError as exc:
+                    raise FormatError(f"bad instance document: test {j}: "
+                                      "non-integer answer") from exc
             return cls(weights, tests, obj.get("k"))
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc

@@ -427,9 +427,9 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
         elif "test" not in o:
             raise FormatError("interior node missing 'test'")
         else:
-            test = json_int(o["test"], f"test must be an integer, got {o['test']!r}")
+            test = json_int(o["test"], "test")
             try:
-                kids = [(json_int(a, f"answer must be an integer, got {a!r}"), sub)
+                kids = [(json_int(a, "answer"), sub)
                         for a, sub in o.get("children", [])]
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"bad interior node: {exc}") from exc

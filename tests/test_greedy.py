@@ -2,7 +2,6 @@
 identity, and minority-mass monotonicity.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -312,7 +311,7 @@ def test_majority_parts_matches_per_bit_scan():
 def reference_greedy_tree(inst: DTInstance):
     """The greedy tree by its definition: at every set, every test weighed in
     full by `per_bit_majority_parts` and the argmin taken, smallest index on
-    ties; no lower-bound stop, no planes and no test context."""
+    ties; no lower-bound stop and no test context."""
     def rule(s: int, _):
         if s.bit_count() == 1:
             return None
@@ -324,12 +323,6 @@ def reference_greedy_tree(inst: DTInstance):
     return grow(inst, inst.full_mask, rule)
 
 
-def force_planes(monkeypatch):
-    """Weigh every weighted set of two or more members from bit-planes."""
-    monkeypatch.setattr(greedy, "PLANE_MIN_SET", 2)
-    monkeypatch.setattr(greedy, "PLANE_MEMBERS", 0)
-
-
 def assert_same_tree(tree, ref, label):
     assert tree_to_text(tree) == tree_to_text(ref), label
     assert [rec.mask for rec in tree.records] == \
@@ -337,12 +330,9 @@ def assert_same_tree(tree, ref, label):
 
 
 @pytest.mark.parametrize("K, exact", [(2, True), (3, False), (2, False), (3, True)])
-def test_greedy_tree_matches_per_bit_scan_on_skew(K, exact, monkeypatch):
+def test_greedy_tree_matches_per_bit_scan_on_skew(K, exact):
     inst = gen_random(600, 28, K, 42 + K, profile="skew", exact=exact)
-    ref = reference_greedy_tree(inst)
-    assert_same_tree(build_greedy_tree(inst), ref, "default plane threshold")
-    force_planes(monkeypatch)
-    assert_same_tree(build_greedy_tree(inst), ref, "planes on every set")
+    assert_same_tree(build_greedy_tree(inst), reference_greedy_tree(inst), "skew")
 
 
 def greedy_edge_cases(K: int, exact: bool):
@@ -352,7 +342,7 @@ def greedy_edge_cases(K: int, exact: bool):
     out = [("skew n=700", gen_random(700, 30, K, 60 + K, profile="skew",
                                      exact=exact)),
            # one heavy weight among equal light ones: light parts of equal
-           # size tie in the planes and are weighed again member by member
+           # size tie, and the smallest test index must win
            ("two-tier", gen_random(300, 24, K, 61 + K, profile="two-tier",
                                    exact=exact))]
     base = gen_random(120, 24, K, 62 + K, profile="skew", exact=exact)
@@ -374,22 +364,24 @@ def greedy_edge_cases(K: int, exact: bool):
 
 @pytest.mark.parametrize("K", [2, 3, 5])
 @pytest.mark.parametrize("exact", [True, False])
-@pytest.mark.parametrize("planes", ["default", "forced"])
-def test_greedy_tree_matches_reference_on_edge_cases(K, exact, planes, monkeypatch):
-    calls = {"planes": 0}
-    plane_parts = greedy._plane_parts
+def test_greedy_tree_matches_reference_on_edge_cases(K, exact, monkeypatch):
+    calls = {}
 
-    def counted(*args):
-        calls["planes"] += 1
-        return plane_parts(*args)
-    monkeypatch.setattr(greedy, "_plane_parts", counted)
-    if planes == "forced":
-        force_planes(monkeypatch)
+    def counted(name):
+        inner = getattr(greedy, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args)
+        monkeypatch.setattr(greedy, name, wrapper)
+    for name in ("majority_parts", "_uniform_weigher", "_member_weigher"):
+        counted(name)
     for label, inst in greedy_edge_cases(K, exact):
         assert inst.exact == exact
         assert_same_tree(build_greedy_tree(inst), reference_greedy_tree(inst),
                          label)
-    assert calls["planes"] > 0
+    # the cases reach every branch of `_greedy_split`
+    assert sorted(calls) == ["_member_weigher", "_uniform_weigher", "majority_parts"]
 
 
 @pytest.mark.parametrize("weights", [
@@ -398,41 +390,11 @@ def test_greedy_tree_matches_reference_on_edge_cases(K, exact, planes, monkeypat
     [0.5, 0.25, 0.25],
     [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)],
 ])
-def test_unsplittable_set_raises_on_every_path(weights, monkeypatch):
+def test_unsplittable_set_raises_on_every_path(weights):
     # hypotheses 1 and 2 answer alike on every test
     inst = DTInstance(weights, [(1, 1, 2), (2, 2, 1)], 2)
     with pytest.raises(UnsplittableSetError):
         greedy_choice(inst, [1, 2])
-    force_planes(monkeypatch)
-    with pytest.raises(UnsplittableSetError):
-        greedy_choice(inst, [1, 2])
-
-
-@pytest.mark.parametrize("weights", [
-    [0.5, -0.25, 0.75],
-    [Fraction(1, 2), Fraction(-1, 2), 1],
-    [0.5, math.inf, 0.5],
-    [0.5, math.nan, 0.5],
-    # numerators of 65 bits over the common denominator 2 * 3**41
-    [Fraction(1, 3 ** 41), Fraction(1, 2), Fraction(1, 2) - Fraction(1, 3 ** 41)],
-])
-def test_weights_without_planes(weights):
-    assert DTInstance(weights, [(1, 1, 2), (1, 2, 2)]).weight_planes() == ()
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_weight_planes_spell_the_weights(exact):
-    inst = gen_random(200, 8, 3, 70, profile="skew", exact=exact)
-    planes = inst.weight_planes()
-    ints = [sum(((p >> i) & 1) << b for b, p in enumerate(planes))
-            for i in range(inst.n)]
-    if exact:
-        assert ints == list(inst._wnum)
-    else:
-        assert 2 ** 19 <= max(ints) < 2 ** 20
-        shift = 20 - math.frexp(max(inst.weights))[1]
-        assert ints == [math.floor(w * 2.0 ** shift) for w in inst.weights]
-    assert planes[-1] != 0
 
 
 # ---------------------------------------------------------------------------
