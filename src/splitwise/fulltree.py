@@ -60,10 +60,11 @@ class FullTreeConfig:
             raise ParameterError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.mode not in (GENERAL, UNIFORM):
             raise ParameterError(f"mode must be '{GENERAL}' or '{UNIFORM}'")
-        if self.ratio_bound < 1:
-            raise ParameterError("ratio bound must be >= 1")
-        if self.eps <= 0:
-            raise ParameterError("eps must be > 0")
+        # written as ranges, so that NaN fails them too
+        if not 1 <= self.ratio_bound < math.inf:
+            raise ParameterError("ratio bound must be finite and >= 1")
+        if not 0 < self.eps < math.inf:
+            raise ParameterError("eps must be finite and > 0")
         if self.n0 < 2:
             raise ParameterError("n0 must be >= 2")
         if self.b is not None and self.b < 1:

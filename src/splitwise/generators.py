@@ -5,12 +5,12 @@ Three families:
 - gen_random: seeded fixture supply for the audit batteries.  Tests are
   sampled as independent uniform answer vectors and resampled wholesale until
   the instance is valid.
-- gen_grid_adversarial: a uniform-weight grid family on which greedy provably
-  overpays.  Hypotheses sit in a c_star-column grid; alongside cheap
-  column/row-bit tests there is a recursive family of row-membership tests
-  whose splits look attractive to greedy but reveal almost nothing.  The
-  companion grid_certificate_tree builds the explicit strategy showing
-  C_OPT <= 4 * c_star.
+- gen_grid_adversarial: a uniform-weight grid family.  Hypotheses sit in a
+  c_star-column grid; alongside cheap column/row-bit tests there is a
+  recursive family of row-membership (type-4) tests whose splits attract
+  greedy: its first test is of type 4 (audit line grid_greedy_type4).  The
+  companion grid_certificate_tree is a complete tree of cost at most
+  4 * c_star, so C_OPT <= 4 * c_star.
 - gen_setcover_reduction: a weighted family built from a set-cover instance.
   Each of ell blocks hides one heavy sentinel hypothesis that can only be
   isolated by solving the cover q times over, so the optimal tree cost
@@ -86,9 +86,6 @@ def gen_random(n: int, m: int, K: int, seed: int, profile: str = "uniform",
         raise ParameterError(f"unknown weight profile {profile!r}")
     rng = random.Random(seed)
     weights = _random_weights(rng, n, profile, ratio, exact)
-    if exact:
-        total = sum(weights)
-        weights = [w / total for w in weights]
     answers = randrange_stream(rng, K)
     for _ in range(MAX_ATTEMPTS):
         tests = [list(islice(answers, n)) for _ in range(m)]

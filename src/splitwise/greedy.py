@@ -6,12 +6,11 @@ k+ of a split is the heaviest nonempty part, ties toward the LARGEST answer
 index; the minority mass p^-(v) = p(v) - p(v+) is the quantity the chain
 analysis tracks down the tree.
 
-`majority_parts` is the one split primitive, for the analysis that needs k+
-and the part masks.  On weighted instances it lists a set's members at most
-once per call and weighs every answer part of a test in one scan over those
-members' entries in the test's row, adding raw weights in ascending
-hypothesis order from the mode's zero: the numbers and the order of
-`DTInstance.mask_num`, so float trees are the same as a per-part sum's.
+`majority_parts` is the split by its definition, for the analysis that
+needs k+ and the part masks: every nonempty part is weighed by
+`DTInstance.mask_num`, which adds raw weights in ascending hypothesis order
+from the mode's zero (count times the common weight on uniform instances).
+That is the one order a set is weighed in.
 
 The greedy choice itself needs only each test's max part, and stops weighing
 once its choice is settled.  Tests are weighed in ascending order, and the
@@ -20,10 +19,12 @@ chosen: it is optimal, and no earlier test tied it.  On a uniform set of s
 members the bound is ceil(s/K) members' weight.  On a weighted set it is the
 largest member weight: the part holding that member sums to at least it,
 since adding a non-negative float never rounds below an addend.  The stop
-only skips work: a test that is weighed is summed in `majority_parts`'s
-order from the same zero, so float trees keep every bit of its sums.  The
-bound rests on non-negative, finite weights; an instance with a negative or
-non-finite weight is weighed by `majority_parts` in full.
+only skips work.  A weighed test's max part is `_uniform_weigher`'s count
+times the common weight, or `_member_weigher`'s one scan over the set's
+members, the one fast copy of `mask_num`'s sum; tests pin both to
+`majority_parts` bit for bit, so float trees keep every bit of its sums.
+The bound rests on non-negative, finite weights; an instance with a negative
+or non-finite weight is weighed by `majority_parts` in full.
 """
 
 from __future__ import annotations
@@ -37,57 +38,30 @@ def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
     """The split of the set `smask` by each test (1..m, or those in `tests`).
 
     One entry per test, in order: (k+, majority part mask, majority part
-    weight in raw numerator units).  The majority part is the heaviest
-    nonempty part, ties to the largest answer.  A test that does not split
-    smask (one answer holds all of it) has the whole set as its majority
-    part and weight None.  All tests of a set are scanned in one call.
-
-    On weighted instances the set's members are listed at most once per
-    call, when the first splitting test is met, and each splitting test's
-    part weights come from one scan over those members' entries in its row.
-    A float part is summed in ascending hypothesis order from 0.0, the order
-    of `DTInstance.mask_num`, so float trees do not depend on how the parts
-    are reached.  The builtin `sum()` is not used: from Python 3.12 it sums
-    floats with compensation, which would make float trees depend on the
-    interpreter.  A test that leaves the set whole is found from the masks
-    alone and never scanned.
+    weight in raw numerator units, `DTInstance.mask_num`).  The majority
+    part is the heaviest nonempty part, ties to the largest answer.  A test
+    that does not split smask (one answer holds all of it) has the whole set
+    as its majority part and weight None.
     """
     answer_masks = inst._answer_masks
     if tests is None:
         tests = range(1, inst.m + 1)
     elif tests and (min(tests) < 1 or max(tests) > inst.m):
         raise ParameterError(f"tests {tuple(tests)} outside 1..{inst.m}")
-    rows = inst.tests
-    uniform = inst._uniform
-    wn = inst._wnum
-    zero = 0 if inst.exact else 0.0
-    members = None
+    mask_num = inst.mask_num
     out = []
-    append = out.append
     for j in tests:
-        best_a = best_pm = best_num = nums = None
-        a = 0
-        for am in answer_masks[j - 1]:
-            a += 1
+        best_a = best_pm = best_num = None
+        for a, am in enumerate(answer_masks[j - 1], start=1):
             pm = smask & am
             if pm == smask:
                 best_a, best_pm, best_num = a, pm, None
                 break
             if pm:
-                if uniform:
-                    num = pm.bit_count() * wn[0]
-                else:
-                    if nums is None:
-                        if members is None:
-                            members = list(iter_bits(smask))
-                        nums = [zero] * (inst.k + 1)    # by answer; 0 unused
-                        row = rows[j - 1]
-                        for i in members:
-                            nums[row[i]] += wn[i]
-                    num = nums[a]
+                num = mask_num(pm)
                 if best_num is None or num >= best_num:
                     best_a, best_pm, best_num = a, pm, num
-        append((best_a, best_pm, best_num))
+        out.append((best_a, best_pm, best_num))
     return out
 
 
@@ -163,8 +137,9 @@ def _uniform_weigher(inst: DTInstance, smask: int, count: int):
 
 
 def _member_weigher(inst: DTInstance, smask: int, members: list[int]):
-    """Each part summed over `members` in ascending order from the mode's
-    zero, as `majority_parts` sums it."""
+    """The max part weight, every part summed in one scan over `members`:
+    the fast copy of `DTInstance.mask_num`'s ascending sum from the mode's
+    zero.  An empty part weighs zero, never above a nonempty part here."""
     answer_masks = inst._answer_masks
     rows = inst.tests
     wn = inst._wnum

@@ -78,6 +78,17 @@ def left_sum(xs: Iterable, start):
     return reduce(operator.add, xs, start)
 
 
+def bit_sum(values: Sequence, mask: int, start):
+    """start + the values at the set bits of `mask`, added in ascending bit
+    order: the one order every set weight is summed in."""
+    total = start
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 def json_int(value, what: str) -> int:
     """The one rule for an integer read from a JSON document: a JSON integer,
     which Python reads as an int that is not a bool.  Floats, bools and
@@ -259,12 +270,7 @@ class DTInstance:
         wn = self._wnum
         if self._uniform:
             return mask.bit_count() * wn[0]
-        total = 0 if self.exact else 0.0
-        while mask:
-            low = mask & -mask
-            total += wn[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return bit_sum(wn, mask, 0 if self.exact else 0.0)
 
     def num_to_weight(self, num) -> Number:
         """A raw numerator sum (see `mask_num`) as a weight of this mode."""
@@ -443,8 +449,9 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
     if inst.k < 2:
         problems.append(f"K={inst.k} < 2")
     for h, w in enumerate(inst.weights, start=1):
-        if w < 0:
-            problems.append(f"negative weight p_{h}={format_number(w)}")
+        if not 0 <= w < math.inf:       # NaN fails every comparison
+            kind = "negative" if w < 0 else "non-finite"
+            problems.append(f"{kind} weight p_{h}={format_number(w)}")
 
     total = inst.norm
     if inst.origin is None:

@@ -26,8 +26,8 @@ from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceededError, FormatError, ParameterError, StructureError
 from .greedy import majority_parts
-from .instance import (DTInstance, Number, close, coerce_weights, format_number,
-                       iter_bits, left_sum, parse_number)
+from .instance import (DTInstance, Number, bit_sum, close, coerce_weights,
+                       format_number, iter_bits, left_sum, parse_number)
 from .tree import DecisionTree, NodeRecord
 
 # budget for the exact search: the covered-state space is bounded by
@@ -91,13 +91,7 @@ class MsscInstance:
         return union == (1 << len(self.elements)) - 1
 
     def mask_weight(self, mask: int) -> Number:
-        total = self.zero
-        w = self.weights
-        while mask:
-            low = mask & -mask
-            total += w[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return bit_sum(self.weights, mask, self.zero)
 
     def greedy_completion(self, prefix: Sequence[int] = ()) -> list[int]:
         """`prefix` extended until the universe is covered, each step taking
@@ -215,10 +209,8 @@ def mssc_cost(inst: MsscInstance, sol: OrderLike) -> Number:
     for step, j in enumerate(order, start=1):
         new = inst.set_masks[j - 1] & ~covered
         covered |= new
-        while new:
-            low = new & -new
-            cover_step[low.bit_length() - 1] = step
-            new ^= low
+        for i in iter_bits(new):
+            cover_step[i] = step
     if covered != full:
         missing = inst.elements[(full & ~covered).bit_length() - 1]
         raise ParameterError(f"ordering leaves element {missing} uncovered")

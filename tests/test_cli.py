@@ -102,6 +102,34 @@ class TestSolve:
         assert rc == EXIT_INVALID
         assert "invalid instance" in out
 
+    @pytest.mark.parametrize("name, doc", [
+        ("nan.txt", "3 2 2\nnan 0.5 0.5\n1 2 2\n2 1 2\n"),
+        ("nan.json", '{"weights": [NaN, 0.5, 0.5], '
+                     '"tests": [[1, 2, 2], [2, 1, 2]]}'),
+    ], ids=["text", "json"])
+    @pytest.mark.parametrize("algo", [["greedy"], ["exact"],
+                                      ["fulltree", "--alpha", "0.5"]],
+                             ids=["greedy", "exact", "fulltree"])
+    def test_nan_weight_exits_2(self, tmp_path, capsys, name, doc, algo):
+        path = write_instance(tmp_path, name, doc)
+        rc = main(["solve", path, "--float", "--algo", *algo])
+        out = capsys.readouterr().out
+        assert rc == EXIT_INVALID
+        assert "invalid instance:" in out
+        assert "non-finite weight p_1=nan" in out
+
+    @pytest.mark.parametrize("algo, flag", [("fulltree-uniform", "--eps"),
+                                            ("fulltree", "--ratio-bound")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fulltree_parameter_exits_2(self, tmp_path, capsys,
+                                                   algo, flag, value):
+        path = write_instance(tmp_path, "perfect4.txt", perfect4_text())
+        rc = main(["solve", path, "--algo", algo, "--alpha", "0.5",
+                   flag, value])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+
     def test_garbage_file_exits_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, "garbage.txt", "not an instance\n")
         rc = main(["solve", path])

@@ -5,6 +5,7 @@ enough for exact optima, for several alpha values in both modes.
 """
 
 import inspect
+import math
 import random
 import sys
 from dataclasses import replace
@@ -82,6 +83,12 @@ class TestBudgets:
             FullTreeConfig(alpha=0.5, n0=1)
         with pytest.raises(ParameterError):
             FullTreeConfig(alpha=0.5, b=0)
+
+    @pytest.mark.parametrize("field", ["eps", "ratio_bound"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ParameterError):
+            FullTreeConfig(alpha=0.5, **{field: value})
 
     def test_budget_floor_at_tiny_n(self):
         cfg = FullTreeConfig(alpha=0.3)

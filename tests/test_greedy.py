@@ -234,13 +234,13 @@ def test_greedy_deep_chain_does_not_recurse_out():
 
 
 # ---------------------------------------------------------------------------
-# differential check against the per-bit split scan
+# differential checks against the per-bit split
 # ---------------------------------------------------------------------------
 
 def per_bit_majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
-    """`majority_parts` as it was before the member scan: every part weighed
-    by its own bit walk (`DTInstance.mask_num`).  The reference the member
-    scan must match exactly, float values included."""
+    """`majority_parts` by its definition: every part weighed by its own bit
+    walk (`DTInstance.mask_num`).  A copy kept apart from the library, which
+    `majority_parts` must match exactly, float values included."""
     answer_masks = inst._answer_masks
     if tests is not None:
         if tests and (min(tests) < 1 or max(tests) > inst.m):
@@ -306,6 +306,30 @@ def test_majority_parts_matches_per_bit_scan():
         for bad in ((0,), (m + 1,), (1, m + 1)):
             with pytest.raises(ParameterError):
                 majority_parts(inst, inst.full_mask, bad)
+
+
+def test_fast_weighers_match_majority_parts():
+    """`_uniform_weigher` and `_member_weigher` give, for every test, exactly
+    the max part weight `majority_parts` gives, of the same type, and None
+    where the test does not split the set."""
+    rng = random.Random(43)
+    sets_seen = 0
+    for idx, inst in enumerate(split_corpus()):
+        n = inst.n
+        sets = [inst.full_mask] + [rng.randrange(1, 1 << n) for _ in range(7)]
+        for smask in sets:
+            if inst.uniform:
+                weigh = greedy._uniform_weigher(inst, smask, smask.bit_count())
+            else:
+                members = [b for b in range(n) if smask >> b & 1]
+                weigh = greedy._member_weigher(inst, smask, members)
+            for j, (_, _, want) in enumerate(majority_parts(inst, smask),
+                                             start=1):
+                got = weigh(j)
+                assert got == want and type(got) is type(want), \
+                    (idx, smask, j, got, want)
+            sets_seen += 1
+    assert sets_seen >= 500
 
 
 def reference_greedy_tree(inst: DTInstance):

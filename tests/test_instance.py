@@ -1,6 +1,7 @@
 """Instance container: parsing, masks, validation, restriction, rounding."""
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -297,6 +298,16 @@ def test_validate_flags_negative_weight():
     report = validate_instance(inst)
     assert not report.ok
     assert any("negative" in p for p in report.problems)
+
+
+@pytest.mark.parametrize("h, w", [(1, math.nan), (2, math.inf)])
+def test_validate_flags_non_finite_weight(h, w):
+    # |nan - 1| > tol is False, so the sum check alone lets NaN through
+    weights = [0.5, 0.25, 0.25]
+    weights[h - 1] = w
+    report = validate_instance(DTInstance(weights, [(1, 2, 2), (2, 1, 2)], 2))
+    assert not report.ok
+    assert f"non-finite weight p_{h}={format_number(w)}" in report.problems
 
 
 def test_validate_allows_zero_weight():
