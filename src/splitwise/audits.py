@@ -26,7 +26,7 @@ from .fulltree import FullTreeConfig, audit_trace, full_tree
 from .generators import (REDUCTION_CASES, gen_grid_adversarial, gen_random,
                          gen_setcover_reduction, grid_certificate_tree,
                          grid_layout)
-from .greedy import build_greedy_tree, greedy_choice, majority_parts
+from .greedy import build_greedy_tree, greedy_choice
 from .instance import DTInstance, close, round_weights, validate_instance
 from .mssc import MsscInstance, is_greedy_order, mssc_cost, mssc_greedy, mssc_optimal
 from .report import AuditLine, all_pass, make_line
@@ -388,8 +388,7 @@ def _random_partial_tree(inst: DTInstance, rng: random.Random,
     def rule(mask: int, depth: int):
         if mask.bit_count() <= 1 or depth >= max_depth:
             return None
-        useful = [j for j, (_, _, num) in enumerate(majority_parts(inst, mask), start=1)
-                  if num is not None]
+        useful = [j for j in range(1, inst.m + 1) if len(inst.split(mask, j)) >= 2]
         if not useful:
             return None
         return useful[rng.randrange(len(useful))], depth + 1

@@ -34,7 +34,7 @@ from .mssc import (MsscInstance, chain_order, induced_mssc, is_greedy_order,
                    mssc_optimal)
 from .report import AuditLine, make_line
 from .setcover import greedy_cover_bound, max_set_weight, optimal_cover_size
-from .tree import DecisionTree, depth_of, interior_weight_sum
+from .tree import DecisionTree, depth_of, descent, interior_weight_sum
 
 # ----------------------------------------------------------------------------
 # classification
@@ -277,18 +277,6 @@ class HeavyPath:
         return self.leaf_depth - self.top_depth
 
 
-def _descent_ids(tree: DecisionTree, inst: DTInstance, h: int) -> list[int]:
-    path = [0]
-    rec = tree.node(0)
-    while not rec.is_leaf:
-        nxt = tree.child_id(rec.id, inst.answer_of(rec.test, h))
-        if nxt is None:
-            break
-        path.append(nxt)
-        rec = tree.node(nxt)
-    return path
-
-
 def heavy_paths(labels: VertexLabels, tree: DecisionTree,
                 inst: DTInstance) -> dict[int, HeavyPath]:
     """Per hypothesis, the run of vertices where it is heavy.
@@ -300,20 +288,20 @@ def heavy_paths(labels: VertexLabels, tree: DecisionTree,
     out: dict[int, HeavyPath] = {}
     for i in iter_bits(tree.root.mask):
         h = i + 1
-        path = _descent_ids(tree, inst, h)
-        end = tree.node(path[-1])
+        path = descent(tree, inst, h)
+        end = path[-1]
         if not end.is_leaf or end.mask != (1 << i):
             raise ParameterError(
                 f"hypothesis {h} is not isolated at a leaf; heavy paths need a "
                 f"complete tree")
-        flags = [labels[v].heavy == h for v in path[:-1]]
+        flags = [labels[rec.id].heavy == h for rec in path[:-1]]
         if not any(flags):
             continue
         top = flags.index(True)
         if not all(flags[top:]):
             raise StructureError(f"heavy vertices of {h} are not contiguous")
-        out[h] = HeavyPath(h=h, top_id=path[top], leaf_id=path[-1],
-                           top_depth=top, leaf_depth=len(path) - 1,
+        out[h] = HeavyPath(h=h, top_id=path[top].id, leaf_id=end.id,
+                           top_depth=top, leaf_depth=end.depth,
                            q=inst.weight_of(h))
     return out
 

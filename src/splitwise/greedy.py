@@ -7,10 +7,10 @@ index; the minority mass p^-(v) = p(v) - p(v+) is the quantity the chain
 analysis tracks down the tree.
 
 `majority_parts` is the split by its definition, for the analysis that
-needs k+ and the part masks: every nonempty part is weighed by
-`DTInstance.mask_num`, which adds raw weights in ascending hypothesis order
-from the mode's zero (count times the common weight on uniform instances).
-That is the one order a set is weighed in.
+needs k+ and the part masks: every part `DTInstance.split` lists is weighed
+by `DTInstance.mask_num`, which adds raw weights in ascending hypothesis
+order from the mode's zero (count times the common weight on uniform
+instances).  That is the one order a set is weighed in.
 
 The greedy choice itself needs only each test's max part, and stops weighing
 once its choice is settled.  Tests are weighed in ascending order, and the
@@ -29,7 +29,7 @@ or non-finite weight is weighed by `majority_parts` in full.
 
 from __future__ import annotations
 
-from .errors import ParameterError, StructureError, UnsplittableSetError
+from .errors import StructureError, UnsplittableSetError
 from .instance import DTInstance, SetLike, iter_bits, require_distinguishable
 from .tree import DecisionTree, grow
 
@@ -43,25 +43,17 @@ def majority_parts(inst: DTInstance, smask: int, tests=None) -> list[tuple]:
     that does not split smask (one answer holds all of it) has the whole set
     as its majority part and weight None.
     """
-    answer_masks = inst._answer_masks
     if tests is None:
         tests = range(1, inst.m + 1)
-    elif tests and (min(tests) < 1 or max(tests) > inst.m):
-        raise ParameterError(f"tests {tuple(tests)} outside 1..{inst.m}")
-    mask_num = inst.mask_num
+    split, mask_num = inst.split, inst.mask_num
     out = []
     for j in tests:
-        best_a = best_pm = best_num = None
-        for a, am in enumerate(answer_masks[j - 1], start=1):
-            pm = smask & am
-            if pm == smask:
-                best_a, best_pm, best_num = a, pm, None
-                break
-            if pm:
-                num = mask_num(pm)
-                if best_num is None or num >= best_num:
-                    best_a, best_pm, best_num = a, pm, num
-        out.append((best_a, best_pm, best_num))
+        best = None
+        for a, pm in split(smask, j):
+            num = None if pm == smask else mask_num(pm)     # whole set: no split
+            if best is None or num >= best[2]:
+                best = (a, pm, num)
+        out.append(best or (1, smask, None))    # the empty set has no part
     return out
 
 
@@ -120,7 +112,8 @@ def _settle(tests, weigh, lb):
 
 def _uniform_weigher(inst: DTInstance, smask: int, count: int):
     """The largest part's member count times the common weight, the product
-    `majority_parts` takes for that part."""
+    `majority_parts` takes for that part.  A hot-path copy of
+    `DTInstance.split`'s loop over answers: a call per test slows greedy."""
     answer_masks = inst._answer_masks
     w = inst._wnum[0]
 
@@ -139,7 +132,8 @@ def _uniform_weigher(inst: DTInstance, smask: int, count: int):
 def _member_weigher(inst: DTInstance, smask: int, members: list[int]):
     """The max part weight, every part summed in one scan over `members`:
     the fast copy of `DTInstance.mask_num`'s ascending sum from the mode's
-    zero.  An empty part weighs zero, never above a nonempty part here."""
+    zero.  An empty part weighs zero, never above a nonempty part here.  A
+    hot-path copy of `DTInstance.split`'s loop over answers, as above."""
     answer_masks = inst._answer_masks
     rows = inst.tests
     wn = inst._wnum

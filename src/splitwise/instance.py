@@ -328,6 +328,12 @@ class DTInstance:
             raise ParameterError(f"test {j} outside 1..{self.m}")
         return self._answer_masks[j - 1]
 
+    def split(self, mask: int, j: int) -> list[tuple[int, int]]:
+        """The nonempty parts of `mask` under test j: (answer, part mask)
+        pairs in ascending answer order."""
+        return [(a, part) for a, am in enumerate(self.answer_masks(j), start=1)
+                if (part := mask & am)]
+
     def answer_of(self, j: int, h: int) -> int:
         return self.test_row(j)[h - 1]
 
@@ -384,11 +390,14 @@ class DTInstance:
     @classmethod
     def from_json_obj(cls, obj: dict, *, exact: bool = True) -> "DTInstance":
         try:
-            weights = [
-                parse_number(w, exact=exact) if isinstance(w, str)
-                else (Fraction(w) if exact and not isinstance(w, float) else float(w))
-                for w in obj["weights"]
-            ]
+            weights = []
+            for w in obj["weights"]:
+                if isinstance(w, bool):
+                    raise ValueError(f"weight {w!r} is not a number")
+                weights.append(
+                    parse_number(w, exact=exact) if isinstance(w, str)
+                    else Fraction(w) if exact and not isinstance(w, float)
+                    else float(w))
             tests = []
             for j, row in enumerate(obj["tests"], start=1):
                 try:
@@ -396,7 +405,13 @@ class DTInstance:
                 except FormatError as exc:
                     raise FormatError(f"bad instance document: test {j}: "
                                       "non-integer answer") from exc
-            return cls(weights, tests, obj.get("k"))
+            sizes = {key: json_int(obj[key], key) for key in ("n", "m", "k")
+                     if key in obj}
+            for key, what, count in (("n", "weights", len(weights)),
+                                     ("m", "tests", len(tests))):
+                if sizes.get(key, count) != count:
+                    raise ValueError(f"{key}={sizes[key]} but {count} {what}")
+            return cls(weights, tests, sizes.get("k"))
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"bad instance document: {exc}") from exc
 
@@ -524,11 +539,8 @@ def has_two_sided_test(inst: DTInstance) -> bool:
     of equal cost, and the per-level covering bound loses its slack.  The
     level-sum audit downgrades to informational on such instances.
     """
-    for j in range(1, inst.m + 1):
-        big = sum(1 for am in inst.answer_masks(j) if am.bit_count() >= 2)
-        if big >= 2:
-            return True
-    return False
+    return any(sum(p.bit_count() >= 2 for _, p in inst.split(inst.full_mask, j)) >= 2
+               for j in range(1, inst.m + 1))
 
 
 # ----------------------------------------------------------------------------

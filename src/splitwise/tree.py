@@ -12,16 +12,17 @@ consistent hypothesis takes.  Depth of the root is 0.
 
 Every builder is a split rule handed to `grow`: greedy, the exact and
 depth-budgeted optimum, the rounding audit's random trees and the grid
-certificate differ only in how they pick the test at a set.  Every rebuild (a
-parsed document, the fulltree driver's spliced calls, a corrupted copy) writes
-entries.  No builder and no walker recurses, so chain-shaped trees thousands
-of levels deep round-trip through text and JSON.
+certificate differ only in how they pick the test at a set, which `grow` cuts
+into its parts with `DTInstance.split`.  Every rebuild (a parsed document, the
+fulltree driver's spliced calls, a corrupted copy) writes entries.  No builder
+and no walker recurses, so chain-shaped trees thousands of levels deep
+round-trip through text and JSON.
 
 Two cost routes are kept deliberately separate so they can cross-check each
-other: `cost` walks each hypothesis down the tree by its answers (the
-deepest-consistent-vertex definition, independent of the cached masks), while
-`interior_weight_sum` adds up cached interior set weights.  On a complete tree
-the two must agree exactly in rational mode.
+other: `cost` walks each hypothesis down the tree by its answers (`descent`:
+the deepest-consistent-vertex definition, independent of the cached masks),
+while `interior_weight_sum` adds up cached interior set weights.  On a
+complete tree the two must agree exactly in rational mode.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ def grow(inst: DTInstance, mask: int,
             entries.add(None, s, parent, answer)
             continue
         test, sub = choice
-        parts = [(a, part) for a, am in enumerate(inst.answer_masks(test), start=1)
-                 if (part := s & am)]
+        parts = inst.split(s, test)
         if len(parts) < 2:
             raise StructureError(
                 f"test {test} does not split a set of size {s.bit_count()}")
@@ -244,13 +244,14 @@ class CostBreakdown:
     normalizer: Number     # p(H)
 
 
-def depth_of(tree: DecisionTree, inst: DTInstance, h: int) -> int:
-    """d_T(h): depth of the deepest vertex consistent with h (answer descent)."""
+def descent(tree: DecisionTree, inst: DTInstance, h: int) -> list[NodeRecord]:
+    """The records from the root down h's answers to the deepest vertex
+    consistent with h (answer descent, never the cached masks)."""
     if not 1 <= h <= inst.n:
         raise ParameterError(f"hypothesis {h} outside 1..{inst.n}")
     recs = tree.records
     rec = recs[0]
-    depth = 0
+    path = [rec]
     while rec.test is not None:
         answer = inst.answer_of(rec.test, h)
         for cid in rec.child_ids:
@@ -259,8 +260,13 @@ def depth_of(tree: DecisionTree, inst: DTInstance, h: int) -> int:
         else:           # no child takes this answer
             break
         rec = recs[cid]
-        depth += 1
-    return depth
+        path.append(rec)
+    return path
+
+
+def depth_of(tree: DecisionTree, inst: DTInstance, h: int) -> int:
+    """d_T(h): depth of the deepest vertex consistent with h."""
+    return descent(tree, inst, h)[-1].depth
 
 
 def cost(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> CostBreakdown:
@@ -344,6 +350,7 @@ def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionT
     None) against the instance, fill in every mask top-down, and index the
     tree.  Two children on one answer raise FormatError."""
     tests, masks, parents, answers = shape.tests, shape.masks, shape.parents, shape.answers
+    taken = [0] * len(tests)    # per entry, a bit for each child answer seen
     for idx, (test, parent, answer) in enumerate(zip(tests, parents, answers)):
         mask = root_mask
         if parent is not None:
@@ -352,6 +359,9 @@ def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionT
                 raise FormatError("leaf node with children")
             if not 1 <= answer <= inst.k:
                 raise FormatError(f"answer {answer} outside 1..{inst.k}")
+            if taken[parent] >> answer & 1:
+                raise FormatError(f"two children on answer {answer} of test {ptest}")
+            taken[parent] |= 1 << answer
             mask = masks[parent] & inst.answer_masks(ptest)[answer - 1]
             if mask == 0:
                 raise StructureError(
@@ -364,16 +374,8 @@ def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionT
             if idx + 1 == len(tests) or parents[idx + 1] != idx:
                 raise FormatError(f"interior node (test {test}) with no children")
         masks[idx] = mask
-    tree = DecisionTree(shape)
-    recs = tree.records
-    for rec in recs:
-        prev = None
-        for cid in rec.child_ids:    # ascending answer order
-            answer = recs[cid].parent_answer
-            if answer == prev:
-                raise FormatError(f"two children on answer {answer} of test {rec.test}")
-            prev = answer
-    return tree
+    del taken       # before indexing, where a parse peaks in memory
+    return DecisionTree(shape)
 
 
 def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTree:

@@ -149,12 +149,18 @@ class TestSolve:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         for name, text in (("broken.json", '{"weights": ["1/2",'),
                            ("answer.json", '{"weights": ["1/2", "1/2"], '
-                                           '"tests": [[1, "x"]]}')):
+                                           '"tests": [[1, "x"]]}'),
+                           ("sizes.json", '{"n": 7, "m": 3, "k": 2.9, '
+                                          '"weights": ["1/2", "1/2"], '
+                                          '"tests": [[1, 2]]}'),
+                           ("bools.json", '{"weights": [true, false], '
+                                          '"tests": [[1, 2]]}')):
             path = write_instance(tmp_path, name, text)
-            rc = main(["solve", path, "--algo", "greedy"])
-            err = capsys.readouterr().err
-            assert rc == EXIT_INVALID, name
-            assert "invalid input" in err
+            for mode in ([], ["--float"]):
+                rc = main(["solve", path, "--algo", "greedy", *mode])
+                err = capsys.readouterr().err
+                assert rc == EXIT_INVALID, (name, mode)
+                assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
     def test_missing_file_exits_2(self, capsys):
         rc = main(["solve", "/nonexistent/path.txt"])
@@ -201,9 +207,12 @@ class TestSolve:
 
     def test_bad_budget_env_exits_2(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, "singleton3.txt", singleton3_text())
-        monkeypatch.setenv("SPLITWISE_BUDGET_MS", "soon")
-        rc = main(["solve", path, "--algo", "exact"])
-        assert rc == EXIT_INVALID
+        for value in ("soon", "nan", "-1"):
+            monkeypatch.setenv("SPLITWISE_BUDGET_MS", value)
+            rc = main(["solve", path, "--algo", "exact"])
+            err = capsys.readouterr().err
+            assert rc == EXIT_INVALID, value
+            assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

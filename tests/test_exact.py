@@ -5,6 +5,7 @@ frozensets, no memo table, no mask arithmetic — so the two searches share no
 code paths beyond the instance container.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from splitwise import (
     BudgetExceededError,
     DTInstance,
     ExactSolver,
+    ParameterError,
     build_greedy_tree,
     cost,
     gen_grid_adversarial,
@@ -228,6 +230,15 @@ def test_max_expansions_budget_trips():
     assert ei.value.expansions is not None and ei.value.expansions > 5
 
 
+def test_budget_outside_its_range_is_refused():
+    """NaN compares false with every deadline, so it would set none."""
+    inst = random_valid_instance(random.Random(48), 6, 5, 2)
+    for budget in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ParameterError):
+            ExactSolver(inst, budget_ms=budget)
+    assert ExactSolver(inst, budget_ms=math.inf).optimal_cost() == optimal_cost(inst)
+
+
 def test_memo_reuse_across_calls():
     rng = random.Random(49)
     inst = random_valid_instance(rng, 7, 5, 2)
@@ -325,6 +336,13 @@ def _differential_corpus():
         inst = _undistinguished_instance(rng, rng.randrange(3, 10),
                                          rng.choice([2, 3]))
         cases.append((f"undistinguished {idx}", inst))
+    for idx in range(6):    # wide K: parts of many answers in _expand
+        n = rng.randrange(6, 11)
+        K = rng.choice([5, 7, 12])
+        profile = ("uniform", "skew", "two-tier")[idx % 3]
+        inst = gen_random(n, rng.randrange(4, 8), K, seed=rng.randrange(10**6),
+                          profile=profile, ratio=rng.choice([2, 8]))
+        cases.append((f"{profile} n={n} K={K}", inst))
     return cases
 
 

@@ -209,6 +209,54 @@ def test_json_answers_must_be_json_integers(row):
         DTInstance.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 7, "m": 3, "k": 2.9}, "k must be an integer, got 2.9"),
+    ({"k": "3"}, "k must be an integer, got '3'"),
+    ({"k": True}, "k must be an integer, got True"),
+    ({"n": 2.0}, "n must be an integer, got 2.0"),
+    ({"n": 3, "m": 1}, "bad instance document: n=3 but 2 weights"),
+    ({"n": 2, "m": 2}, "bad instance document: m=2 but 1 tests"),
+    ({"weights": [True, False]}, "bad instance document: weight True is not a number"),
+    ({"weights": ["1/2", False]}, "bad instance document: weight False is not a number"),
+], ids=["k-float", "k-string", "k-bool", "n-float", "n-count", "m-count",
+        "bool-weights", "bool-weight"])
+def test_json_sizes_and_weights_follow_the_json_rules(fields, message, exact):
+    obj = {"weights": ["1/2", "1/2"], "tests": [[1, 2]], **fields}
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        DTInstance.from_json_obj(obj, exact=exact)
+
+
+def _split_by_rows(inst: DTInstance, mask: int, j: int) -> list[tuple[int, int]]:
+    """The split by its definition, from test j's row alone: for each answer
+    in turn, the members of `mask` that give it."""
+    row = inst.test_row(j)
+    parts = []
+    for a in range(1, inst.k + 1):
+        part = sum(1 << i for i in range(inst.n) if mask >> i & 1 and row[i] == a)
+        if part:
+            parts.append((a, part))
+    return parts
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_split_matches_the_per_answer_loop(exact):
+    rng = random.Random(17)
+    for n, K in ((12, 2), (12, 3), (12, 40), (30, 15), (64, 32)):
+        weights = [Fraction(1, n)] * n if exact else [1.0 / n] * n
+        tests = [[rng.randrange(1, K + 1) for _ in range(n)] for _ in range(6)]
+        tests.append([1] * n)               # splits no set
+        inst = DTInstance(weights, tests, K)
+        masks = [0, 1 << rng.randrange(n), inst.full_mask]
+        masks += [rng.randrange(1, 1 << n) for _ in range(8)]
+        for mask in masks:
+            for j in range(1, inst.m + 1):
+                assert inst.split(mask, j) == _split_by_rows(inst, mask, j), (n, K, mask, j)
+        for bad in (0, inst.m + 1):
+            with pytest.raises(ParameterError):
+                inst.split(inst.full_mask, bad)
+
+
 def test_left_sum_adds_left_to_right():
     # a compensated sum gives 1.0 here; a left fold loses the 1.0 to 1e16
     assert left_sum([1e16, 1.0, -1e16], 0.0) == 0.0
