@@ -60,7 +60,7 @@ from itertools import accumulate
 
 from .errors import BudgetExceededError, ParameterError
 from .instance import (REL_TOL, DTInstance, Number, SetLike, iter_bits,
-                       require_distinguishable)
+                       require_distinguishable, undistinguished_pairs)
 from .tree import DecisionTree, grow
 
 
@@ -92,7 +92,7 @@ class ExactSolver:
         self._deadline = (
             time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
         )
-        self._bounded = not inst.undistinguished()
+        self._bounded = not any(undistinguished_pairs(inst, inst.full_mask))
 
     # -- budgets ---------------------------------------------------------------
 

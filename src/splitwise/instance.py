@@ -38,9 +38,12 @@ REL_TOL = 1e-9
 # ----------------------------------------------------------------------------
 
 def parse_number(token: str, *, exact: bool = True) -> Number:
-    """Parse `p/q`, integer, or decimal tokens; exact mode yields Fractions."""
+    """Parse `p/q`, integer, or decimal tokens; exact mode yields Fractions.
+    `_` and non-ASCII characters are refused, as in `content_lines`."""
     token = token.strip()
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError("'_' or a non-ASCII character")
         if exact:
             return Fraction(token)
         if "/" in token:
@@ -87,6 +90,18 @@ def bit_sum(values: Sequence, mask: int, start):
         total += values[low.bit_length() - 1]
         mask ^= low
     return total
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank, non-`#` line of a text
+    document.  int(), Fraction() and float() also read `_` and non-ASCII
+    digits, so a line holding either raises FormatError naming its line number."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if not line.isascii() or "_" in line:
+                raise FormatError(f"line {lineno}: '_' or a non-ASCII character")
+            yield lineno, line
 
 
 def json_int(value, what: str) -> int:
@@ -168,7 +183,7 @@ class DTInstance:
     __slots__ = (
         "n", "m", "k", "weights", "tests", "exact", "zero", "norm", "origin",
         "_wnum", "_wden", "_answer_masks", "_uniform", "_full_mask",
-        "_undistinguished", "_nonnegative",
+        "_nonnegative",
     )
 
     def __init__(
@@ -210,7 +225,6 @@ class DTInstance:
         self.exact = exact
         self.zero = zero
         self.origin = origin
-        self.norm = left_sum(ws, zero)
         self._full_mask = (1 << n) - 1
         self._uniform = all(w == ws[0] for w in ws)
 
@@ -223,6 +237,7 @@ class DTInstance:
         else:
             self._wden = None
             self._wnum = ws
+        self.norm = self.num_to_weight(left_sum(self._wnum, 0))
         # every weight finite and >= 0: what greedy's lower bounds rest on
         self._nonnegative = all(0 <= w < math.inf for w in self._wnum)
 
@@ -240,7 +255,6 @@ class DTInstance:
             amasks.append(tuple([int(text.translate(t).lstrip("0") or "0", 2)
                                  for t in tables]))
         self._answer_masks = tuple(amasks)
-        self._undistinguished = None
 
     # -- hypothesis sets ------------------------------------------------
 
@@ -287,14 +301,6 @@ class DTInstance:
         if not 1 <= h <= self.n:
             raise ParameterError(f"hypothesis {h} outside 1..{self.n}")
         return self.weights[h - 1]
-
-    def undistinguished(self) -> tuple[tuple[int, int], ...]:
-        """The undistinguished pairs of the full set (`undistinguished_pairs`),
-        scanned once per instance.  An empty tuple means every subset is
-        valid too."""
-        if self._undistinguished is None:
-            self._undistinguished = tuple(undistinguished_pairs(self, self._full_mask))
-        return self._undistinguished
 
     @property
     def uniform(self) -> bool:
@@ -348,8 +354,7 @@ class DTInstance:
 
     @classmethod
     def from_text(cls, text: str, *, exact: bool = True) -> "DTInstance":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [line for _, line in content_lines(text)]
         if not lines:
             raise FormatError("empty instance document")
         head = lines[0].split()
@@ -359,6 +364,8 @@ class DTInstance:
             n, m, k = (int(t) for t in head)
         except ValueError as exc:
             raise FormatError(f"bad header {lines[0]!r}") from exc
+        if min(n, m) < 0:
+            raise FormatError(f"negative count in header {lines[0]!r}")
         if len(lines) != 2 + m:
             raise FormatError(f"expected {2 + m} content lines, found {len(lines)}")
         wtoks = lines[1].split()
@@ -463,9 +470,9 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
         problems.append("no tests")
     if inst.k < 2:
         problems.append(f"K={inst.k} < 2")
-    for h, w in enumerate(inst.weights, start=1):
-        if not 0 <= w < math.inf:       # NaN fails every comparison
-            kind = "negative" if w < 0 else "non-finite"
+    for h, (num, w) in enumerate(zip(inst._wnum, inst.weights), start=1):
+        if not 0 <= num < math.inf:     # NaN fails every comparison
+            kind = "negative" if num < 0 else "non-finite"
             problems.append(f"{kind} weight p_{h}={format_number(w)}")
 
     total = inst.norm
@@ -476,34 +483,33 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
         elif abs(total - 1.0) > FLOAT_SUM_TOL:
             problems.append(f"weights sum to {total!r}, |sum-1| > {FLOAT_SUM_TOL}")
 
-    pairs = inst.undistinguished()
+    pairs = tuple(undistinguished_pairs(inst, inst.full_mask))
     if pairs:
-        problems.append(
-            "undistinguished hypothesis pairs: " + ", ".join(map(str, pairs))
-        )
+        problems.append("undistinguished hypothesis pairs: " + ", ".join(map(str, pairs)))
 
     return ValidationReport(ok=not problems, problems=tuple(problems),
                             undistinguished=pairs)
 
 
 def undistinguished_pairs(inst: DTInstance, mask: int) -> Iterator[tuple[int, int]]:
-    """Pairs (g, h), g < h, of members of `mask` that no test separates.
-
-    Hypotheses are grouped by answer signature (two are separated by some
-    test iff their answer columns differ); each member is paired with the
-    latest earlier member of its group.  Lazy, so a caller that only needs
-    the first pair stops there.  A signature is the column as a string of
-    chr(answer): every member's is alive at once, and a string takes about a
-    quarter of the memory of a tuple of ints.
+    """Pairs (g, h), g < h, of members of `mask` that no test separates,
+    sorted by h; h is paired with the latest earlier member of its class.
+    The classes (equal answer columns) are the parts left after cutting
+    `mask` by every test's answer masks, depth first, dropping each part
+    of fewer than two members at once: at most m(K-1)+1 parts wait.
     """
-    latest: dict[str, int] = {}
-    tests = inst.tests
-    for i in iter_bits(mask):
-        sig = "".join([chr(row[i]) for row in tests])
-        prev = latest.get(sig)
-        if prev is not None:
-            yield prev, i + 1
-        latest[sig] = i + 1
+    pairs, stack = [], [(mask, 0)]
+    while stack:
+        part, j = stack.pop()
+        if j == inst.m:
+            ids = members_of(part)
+            pairs.extend(zip(ids, ids[1:]))
+            continue
+        for am in inst._answer_masks[j]:
+            sub = part & am
+            if sub & (sub - 1):         # two or more members
+                stack.append((sub, j + 1))
+    return iter(sorted(pairs, key=operator.itemgetter(1)))
 
 
 def require_valid(inst: DTInstance) -> None:
@@ -515,15 +521,10 @@ def require_valid(inst: DTInstance) -> None:
 
 
 def require_distinguishable(inst: DTInstance, mask: int) -> None:
-    """Raise InvalidInstanceError when no test separates some two members
-    of `mask`.  Uses the instance's cached full-set scan: a valid full set
-    makes every subset valid, and only a proper subset of an invalid one is
-    scanned again."""
-    pairs = inst.undistinguished()
-    if not pairs:
-        return
-    pair = (pairs[0] if mask == inst.full_mask
-            else next(undistinguished_pairs(inst, mask), None))
+    """Raise InvalidInstanceError on the first pair of
+    `undistinguished_pairs(inst, mask)`: two members of `mask` that no
+    test separates."""
+    pair = next(undistinguished_pairs(inst, mask), None)
     if pair is not None:
         raise InvalidInstanceError(
             f"hypotheses {pair[0]} and {pair[1]} are undistinguished",

@@ -27,7 +27,8 @@ from typing import Iterable, Sequence, Union
 from .errors import BudgetExceededError, FormatError, ParameterError, StructureError
 from .greedy import majority_parts
 from .instance import (DTInstance, Number, bit_sum, close, coerce_weights,
-                       format_number, iter_bits, left_sum, parse_number)
+                       content_lines, format_number, iter_bits, left_sum,
+                       parse_number)
 from .tree import DecisionTree, NodeRecord
 
 # budget for the exact search: the covered-state space is bounded by
@@ -140,8 +141,7 @@ class MsscInstance:
 
     @classmethod
     def from_text(cls, text: str, *, exact: bool = True) -> "MsscInstance":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [line for _, line in content_lines(text)]
         if not lines:
             raise FormatError("empty MSSC document")
         head = lines[0].split()
@@ -151,6 +151,8 @@ class MsscInstance:
             u, m = int(head[0]), int(head[1])
         except ValueError as exc:
             raise FormatError(f"header must be '|S| M', got {lines[0]!r}") from exc
+        if min(u, m) < 0:
+            raise FormatError(f"negative count in header {lines[0]!r}")
         if len(lines) != 2 + m:
             raise FormatError(f"expected {2 + m} content lines, found {len(lines)}")
         wtoks = lines[1].split()

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .errors import FormatError, IncompleteTreeError, ParameterError, StructureError
-from .instance import (DTInstance, Number, SetLike, iter_bits, json_int,
-                       left_sum, members_of)
+from .instance import (DTInstance, Number, SetLike, content_lines, iter_bits,
+                       json_int, left_sum, members_of)
 
 
 class Entries:
@@ -383,10 +383,7 @@ def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTr
     `inst` (and `H` as the root set, default full)."""
     shape = Entries()
     path: list[int] = []    # entry index of the open ancestor at each depth
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         toks = line.split()
         try:
             depth = int(toks[1])

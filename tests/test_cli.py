@@ -162,6 +162,17 @@ class TestSolve:
                 assert rc == EXIT_INVALID, (name, mode)
                 assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("doc", ["2 -1 2\n", "2 1 1_0\n1/2 1/2\n1 2\n",
+                                     "2 1 2\n1/2 1/2\n1 \u0662\n"],
+                             ids=["negative count", "underscore", "non-ASCII"])
+    def test_bad_text_numbers_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.txt"
+        path.write_text(doc, encoding="utf-8")
+        rc = main(["solve", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+
     def test_missing_file_exits_2(self, capsys):
         rc = main(["solve", "/nonexistent/path.txt"])
         err = capsys.readouterr().err

@@ -269,6 +269,54 @@ def test_short_row_named_before_later_rows_are_read():
         DTInstance.from_text("2 2 2\n1/2 1/2\n1\nx y\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("2 1 1_0\n1/2 1/2\n1 2\n", 1),               # read as K=10
+    ("2 1 2\n1_0/20 1/2\n1 2\n", 2),              # read as 1/2
+    ("2 1 2\n1/2 1/2\n1 \u0662\n", 3),             # Arabic-Indic two
+    ("# caf\u00e9\n\n2 1 2\n1/2 1/2\n\uff11 2\n", 5),  # fullwidth one
+], ids=["underscore header", "underscore weight", "arabic-indic answer",
+        "fullwidth answer"])
+def test_text_numbers_are_ascii_without_underscores(text, line):
+    with pytest.raises(FormatError, match=rf"^line {line}: "):
+        DTInstance.from_text(text)
+    # comments may hold any character
+    assert DTInstance.from_text("# caf\u00e9\n2 1 2\n1/2 1/2\n1 2\n").k == 2
+
+
+@pytest.mark.parametrize("token", ["1_0/20", "\u0661/2", "0.\u0665"])
+def test_json_weight_strings_are_ascii_without_underscores(token):
+    with pytest.raises(FormatError, match="non-ASCII"):
+        parse_number(token)
+    obj = {"weights": [token, "1/2"], "tests": [[1, 2]]}
+    for exact in (True, False):
+        with pytest.raises(FormatError):
+            DTInstance.from_json_obj(obj, exact=exact)
+
+
+@pytest.mark.parametrize("text", ["2 -1 2\n", "-2 0 2\n1/2 1/2\n"])
+def test_negative_header_count_rejected(text):
+    with pytest.raises(FormatError, match="^negative count in header"):
+        DTInstance.from_text(text)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_norm_is_the_left_sum_of_the_weights(exact):
+    """`norm` comes from the raw numerators; it equals the left fold of the
+    weights exactly, bit for bit in float mode.  Uniform float weights sum
+    to 0.9999999999999999 where count x w gives 1.0."""
+    rng = random.Random(29)
+    for n in (1, 3, 10, 40):
+        skew = [Fraction(rng.randrange(1, 50), rng.randrange(1, 50)) for _ in range(n)]
+        for ws in (skew, [Fraction(1, 10)] * n, [Fraction(1, 3)] * n):
+            inst = DTInstance(ws if exact else [float(w) for w in ws],
+                              [tuple(range(1, n + 1))], max(n, 2))
+            want = left_sum(inst.weights, inst.zero)
+            assert type(inst.norm) is type(want)
+            assert inst.norm == want if exact else inst.norm.hex() == want.hex()
+            if not exact and n == 10 and ws[0] == Fraction(1, 10):
+                assert inst.norm != inst.mask_weight(inst.full_mask)
+
+
 def test_number_formatting():
     assert format_number(Fraction(5, 3)) == "5/3"
     assert format_number(Fraction(4, 2)) == "2"
@@ -311,8 +359,10 @@ def test_undistinguished_pairs_reported_and_raised():
 
 @pytest.mark.parametrize("K", [2, 3, 300])
 def test_undistinguished_pairs_match_tuple_signatures(K):
-    """Pairs grouped by string signatures equal pairs grouped by the answer
-    columns as tuples, on subsets too; with no tests every pair clashes."""
+    """The depth-first cut gives the pairs of grouping the answer columns as
+    tuples, in the same order, on empty, singleton, full and random masks;
+    with no tests every pair clashes, and with few distinct columns classes
+    survive every test."""
     def reference(inst, mask):
         latest, out = {}, []
         for h in members_of(mask):
@@ -323,15 +373,19 @@ def test_undistinguished_pairs_match_tuple_signatures(K):
         return out
 
     rng = random.Random(K)
-    n = 40
-    for m in (0, 1, 3):
-        # few distinct columns, so that many pairs clash
-        cols = [tuple(rng.randrange(1, K + 1) for _ in range(m)) for _ in range(6)]
-        picks = [rng.choice(cols) for _ in range(n)]
-        rows = [[col[j] for col in picks] for j in range(m)]
-        inst = DTInstance([Fraction(1, n)] * n, rows, K)
-        for mask in (inst.full_mask, rng.randrange(1, 1 << n), 0b1011):
-            assert list(undistinguished_pairs(inst, mask)) == reference(inst, mask)
+    for n in (1, 2, 40, 200):
+        for m in (0, 1, 3, 12):
+            for ncols in (3, 2 * n):        # many clashes, then few
+                cols = [tuple(rng.randrange(1, K + 1) for _ in range(m))
+                        for _ in range(ncols)]
+                picks = [rng.choice(cols) for _ in range(n)]
+                rows = [[col[j] for col in picks] for j in range(m)]
+                inst = DTInstance([Fraction(1, n)] * n, rows, K)
+                for mask in (0, 1 << rng.randrange(n), inst.full_mask,
+                             rng.randrange(1 << n)):
+                    pairs = undistinguished_pairs(inst, mask)
+                    assert iter(pairs) is pairs
+                    assert list(pairs) == reference(inst, mask), (n, m, mask)
 
 
 def test_validate_flags_bad_weight_sum():
@@ -467,22 +521,3 @@ class TestRounding:
             out = round_weights(inst)
             assert abs(sum(out.weights) - 1.0) < FLOAT_TOL
             assert min(out.weights) >= 1.0 / (n * (n - 1)) - FLOAT_TOL
-
-
-def test_validity_scan_runs_once_per_instance(monkeypatch):
-    """validate, greedy and the exact search share one full-set scan."""
-    import splitwise.instance as instance_mod
-    calls = []
-    original = instance_mod.undistinguished_pairs
-
-    def counted(inst, mask):
-        calls.append(mask)
-        return original(inst, mask)
-
-    monkeypatch.setattr(instance_mod, "undistinguished_pairs", counted)
-    inst = DTInstance([Fraction(1, 4)] * 4, [(1, 1, 2, 2), (1, 2, 1, 2)], 2)
-    assert validate_instance(inst).ok
-    build_greedy_tree(inst)
-    optimal_tree(inst)
-    build_greedy_tree(inst, [1, 2, 3])
-    assert calls == [inst.full_mask]

@@ -100,7 +100,11 @@ def test_text_round_trip():
 @pytest.mark.parametrize("text", [
     "x 2\n1 1\n1\n2\n",
     "2 1\n1 1\n1 y\n",
-], ids=["non-integer header", "non-integer member"])
+    "3 -1\n",
+    "2 1\n1 1\n1 \u0662\n",
+    "2 1\n1 1\n1 0_2\n",
+], ids=["non-integer header", "non-integer member", "negative set count",
+        "non-ASCII member", "underscore member"])
 def test_malformed_mssc_text_rejected(text):
     with pytest.raises(FormatError):
         MsscInstance.from_text(text)

@@ -243,6 +243,8 @@ def test_malformed_tree_text_rejected():
         "interior without children": "0 0 test 1 -\n",
         "test out of range": "0 0 test 3 -\n1 1 leaf 1\n",
         "answer out of range": "0 0 test 1 -\n1 1 leaf 3\n",
+        "non-ASCII answer": "0 0 test 1 -\n1 1 leaf 1\n1 1 leaf \u0662\n",
+        "underscore answer": "0 0 test 1 -\n1 1 leaf 1\n1 1 leaf 0_2\n",
         "repeated child answer": "0 0 test 1 -\n1 1 leaf 1\n2 1 leaf 1\n",
     }
     for what, text in bad_docs.items():
