@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -154,6 +155,70 @@ def members_of(mask: int) -> tuple[int, ...]:
 SetLike = Union[int, Iterable[int], None]
 
 
+class LazyTable(dict):
+    """A dict that fills a missing key with `make(key)` on its first lookup,
+    so it holds only the keys looked up: a table sized by what is read, not
+    by the largest value that could be."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+def _answer(a) -> int:
+    """int(a) for one answer, given as a number or a token.  int() refuses
+    a non-integer token; a number that int() would truncate (2.7) is
+    refused here."""
+    i = int(a)
+    if i != a and not isinstance(a, (str, bytes, bytearray)):
+        raise ValueError(f"answer {a!r} is not an integer")
+    return i
+
+
+def _answer_char(a):
+    """chr of one answer, or the answer as an int when chr() has no
+    character for it (below 0 or above sys.maxunicode)."""
+    i = _answer(a)
+    return chr(i) if 0 <= i <= sys.maxunicode else i
+
+
+def _answer_text(row, chars: LazyTable) -> Union[str, list]:
+    """A test row as its answer text, chr(answer) per hypothesis, joined
+    through `chars`, a LazyTable of `_answer_char`: each distinct answer or
+    token is read by int() once.  A row holding an answer that chr()
+    cannot encode comes back as its list of ints, for the range check to
+    name."""
+    try:
+        return "".join(map(chars.__getitem__, row))
+    except TypeError:       # an unhashable answer, or one with no character
+        answers = list(map(_answer, row))
+    try:
+        return "".join(map(chr, answers))
+    except (ValueError, OverflowError):
+        return answers
+
+
+def _row_masks(backward: str, hi: int) -> tuple[int, ...]:
+    """The answer masks of a row for answers 1..hi, hi its largest answer,
+    from its answer text last hypothesis first.  The answer-a mask is that
+    text translated by a table of hi+1 bytes, '1' at index a and '0' at
+    every other, and read in base 2; it is 0 when chr(a) is absent.  Leading
+    zeros are stripped first, since int() sizes its result by the length of
+    the string.  No set of the row's answers is built: a throwaway set per
+    row cost exact-search about 0.12 MB of peak RSS."""
+    masks = [0] * hi
+    for a in range(1, hi + 1):
+        if chr(a) in backward:
+            table = b"0" * a + b"1" + b"0" * (hi - a)
+            masks[a - 1] = int(backward.translate(table).lstrip("0"), 2)
+    return tuple(masks)
+
+
 def coerce_weights(
         weights: Iterable[Number]) -> tuple[tuple[Number, ...], bool, Number]:
     """The number-mode rule: any float weight puts the whole vector in float
@@ -199,23 +264,44 @@ class DTInstance:
             raise ParameterError("instance needs at least one hypothesis")
         n = len(ws)
 
+        # Each row is read into its answer text, chr(answer) per hypothesis,
+        # and from it into its answer tuple.  Every row is read before any is
+        # checked, so that a non-integer answer anywhere is named first.
+        chars = LazyTable(_answer_char)
         rows = []
         for j, row in enumerate(tests, start=1):
             try:
-                rows.append(tuple(map(int, row)))
+                text = _answer_text(row, chars)
             except ValueError as exc:
                 raise ParameterError(f"test {j}: non-integer answer") from exc
+            rows.append(tuple(map(ord, text)) if isinstance(text, str) else tuple(text))
         rows = tuple(rows)
         if k is None:
             k = max((max(row) for row in rows if row), default=2)
             k = max(k, 2)
         k = int(k)
+
+        # The masks come from the row's text, last hypothesis first, made
+        # again from the tuple: keeping each row's first text until here
+        # cost grid-scale 5.7 MB of peak RSS, and making the masks as the
+        # rows are read cost exact-search about 0.25 MB.  The K-long mask
+        # tuples are made once every row has passed its checks.
+        row_masks = []
         for j, row in enumerate(rows, start=1):
             if len(row) != n:
                 raise ParameterError(f"test {j} has {len(row)} answers, expected {n}")
-            if min(row) < 1 or max(row) > k:
-                a = next(a for a in row if not 1 <= a <= k)
+            try:
+                backward = "".join(map(chr, reversed(row)))
+            except (ValueError, OverflowError):     # an answer chr() cannot encode
+                backward = "\0"
+            hi = ord(max(backward))
+            if "\0" in backward or hi > k:
+                a = next((a for a in row if not 1 <= a <= k), None)
+                if a is None:
+                    raise ParameterError(f"test {j}: answer {max(row)} above {sys.maxunicode}")
                 raise ParameterError(f"test {j}: answer {a} outside 1..{k}")
+            row_masks.append(_row_masks(backward, hi))
+        amasks = [masks + (0,) * (k - len(masks)) for masks in row_masks]
 
         self.n = n
         self.m = len(rows)
@@ -240,20 +326,6 @@ class DTInstance:
         self.norm = self.num_to_weight(left_sum(self._wnum, 0))
         # every weight finite and >= 0: what greedy's lower bounds rest on
         self._nonnegative = all(0 <= w < math.inf for w in self._wnum)
-
-        # A row read as a string of chr(answer), last hypothesis first; its
-        # answer-a mask is that string translated to '1' at chr(a) and '0' at
-        # every other answer, read in base 2.  The table for answer a is the
-        # window of one 2k+1 byte string that has its '1' at index a, so no
-        # k-by-k table is built.  Leading zeros are stripped first, since
-        # int() sizes its result by the length of the string.
-        window = memoryview(b"0" * k + b"1" + b"0" * k)
-        tables = [window[k - a:] for a in range(1, k + 1)]
-        amasks = []
-        for row in rows:
-            text = "".join(map(chr, reversed(row)))
-            amasks.append(tuple([int(text.translate(t).lstrip("0") or "0", 2)
-                                 for t in tables]))
         self._answer_masks = tuple(amasks)
 
     # -- hypothesis sets ------------------------------------------------
@@ -348,8 +420,8 @@ class DTInstance:
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m} {self.k}"]
         lines.append(" ".join(format_number(w) for w in self.weights))
-        for row in self.tests:
-            lines.append(" ".join(map(str, row)))
+        names = LazyTable(str)
+        lines += [" ".join(map(names.__getitem__, row)) for row in self.tests]
         return "\n".join(lines) + "\n"
 
     @classmethod

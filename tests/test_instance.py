@@ -4,6 +4,8 @@ import json
 import math
 import random
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from splitwise import (
     undistinguished_pairs,
     validate_instance,
 )
+from splitwise.generators import gen_grid_adversarial, gen_random
 from splitwise.instance import left_sum
 from conftest import random_exact_weights, random_valid_instance
 
@@ -97,14 +100,18 @@ def _reference_masks(rows, k):
     return tuple(out)
 
 
-@pytest.mark.parametrize("K", [2, 3, 300])
+@pytest.mark.parametrize("K", [2, 3, 300, 5000])
 def test_rows_and_answer_masks_match_per_entry_reference(K):
     rng = random.Random(K)
     for n in (1, 2, 7, 64, 301):
-        rows = [[rng.randrange(1, K + 1) for _ in range(n)] for _ in range(4)]
-        # answers arrive as any int-convertible values (text tokens, JSON)
+        # under K = 300 and 5000 most answers lie above n
+        rows = [[rng.randrange(1, K + 1) for _ in range(n)] for _ in range(6)]
+        # answers arrive as any int-convertible values: text tokens, canonical
+        # or not ("01", "+2"), integral floats and bools (True is 1)
         given = [rows[0], tuple(rows[1]), [str(a) for a in rows[2]],
-                 [float(a) for a in rows[3]]]
+                 [float(a) for a in rows[3]],
+                 [f"0{a}" if i % 2 else f"+{a}" for i, a in enumerate(rows[4])],
+                 [True if a == 1 else a for a in rows[5]]]
         inst = DTInstance([Fraction(1, n)] * n, given, K)
         assert inst.tests == tuple(tuple(row) for row in rows)
         assert all(type(a) is int for row in inst.tests for a in row)
@@ -117,12 +124,22 @@ def test_rows_and_answer_masks_match_per_entry_reference(K):
     ((1, 5, 0), 3, 5),
     ((2, 300, 301), 300, 301),
     ((-1, 2, 2), None, -1),
+    ((1, 2 ** 70, 2), 3, 2 ** 70),
+    ((2, 2 ** 70, 0), None, 0),
 ])
 def test_out_of_range_answer_named_in_error(row, k, first_bad):
     shown_k = k if k is not None else max(2, max(row))
     message = f"test 2: answer {first_bad} outside 1..{shown_k}"
     with pytest.raises(ParameterError, match=re.escape(message)):
         DTInstance([Fraction(1, 3)] * 3, [(1, 2, 1), row], k)
+
+
+def test_answer_beyond_unicode_refused():
+    """Answers are held as characters, so one above sys.maxunicode is refused
+    even under a larger K."""
+    big = sys.maxunicode + 1
+    with pytest.raises(ParameterError, match=rf"^test 1: answer {big} above {sys.maxunicode}$"):
+        DTInstance([Fraction(1, 2)] * 2, [[1, big]], big)
 
 
 def test_mask_weight_equals_member_sum():
@@ -149,6 +166,60 @@ def test_text_round_trip_exact():
     assert back.weights == inst.weights
     assert back.tests == inst.tests
     assert back.k == inst.k
+
+
+def _random_instance(n, m, K, exact=True):
+    rng = random.Random(n * K)
+    rows = [[rng.randrange(1, K + 1) for _ in range(n)] for _ in range(m)]
+    return DTInstance([Fraction(1, n) if exact else 1.0 / n] * n, rows, K)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _random_instance(40, 6, 2),
+    lambda: _random_instance(40, 6, 3, exact=False),
+    lambda: _random_instance(500, 4, 300),
+    lambda: gen_grid_adversarial(256, 8),
+    lambda: gen_random(300, 12, 3, seed=7, profile="skew"),
+    lambda: gen_random(300, 12, 3, seed=7, profile="skew", exact=False),
+], ids=["K2", "K3-float", "K300", "grid256", "skew-K3-exact", "skew-K3-float"])
+def test_text_form_is_pinned_and_round_trips(make):
+    """The text form is the header, the weights and one line of decimal
+    answers per test; reading it back writes the same bytes."""
+    inst = make()
+    text = inst.to_text()
+    lines = [f"{inst.n} {inst.m} {inst.k}",
+             " ".join(format_number(w) for w in inst.weights)]
+    lines += [" ".join(map(str, row)) for row in inst.tests]
+    assert text == "\n".join(lines) + "\n"
+    back = DTInstance.from_text(text, exact=inst.exact)
+    assert back.to_text() == text
+    assert back.tests == inst.tests
+    assert back._answer_masks == inst._answer_masks
+
+
+def test_parse_memory_follows_the_rows_not_k():
+    """The answer tables hold what the rows hold: one answer row under
+    K = 10^6 costs its K-long mask tuple and the zeros it is padded with
+    (8 MB each), not a table of size K (211 MB once)."""
+    text = "2 1 1000000\n1/2 1/2\n1 2\n"
+    tracemalloc.start()
+    try:
+        inst = DTInstance.from_text(text)
+        written = inst.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == text
+    assert inst.answer_masks(1)[:3] == (0b01, 0b10, 0)
+    assert peak < 24 * 10 ** 6
+
+
+@pytest.mark.parametrize("answer", [2.7, 1.5, Fraction(3, 2)])
+def test_numbers_that_int_would_truncate_are_refused(answer):
+    with pytest.raises(ParameterError, match=r"^test 1: non-integer answer$"):
+        DTInstance([Fraction(1, 2)] * 2, [[1, answer]])
+    with pytest.raises(ParameterError, match=r"^test 2: non-integer answer$"):
+        DTInstance([Fraction(1, 2)] * 2, [[1, 2.0], [answer, 1]], 2)
 
 
 def test_text_round_trip_float():
