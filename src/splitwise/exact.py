@@ -47,6 +47,19 @@ mode a bound and a total of the same tree round differently, so float mode
 prunes only past a relative margin REL_TOL: a bound an ulp above a tying
 total cannot change a tree.
 
+Shallow budgets.  Budgets 1 and 2 need no search.  Every part of a split has
+a budget of 0 or 1, and f(H, 1) = p(H) at the first test that splits H,
+since every split costs the same.  So f(H, 2) is p(H) plus, for the best
+test, the weight of each part of two or more members, added in answer order,
+and the lowest such test of minimum total wins.  `_shallow` answers these
+memo misses with one pass over the distinct partitions, with no candidate
+list, bound or subproblem stack.  Every set of three or fewer members
+normalizes to such a budget, so full-depth solves use it too.  On an
+instance with undistinguished pairs a part of two or more members adds its
+own f(part, 1), which is 0 when no test splits it.  The partition dedupe
+stays: in float mode a relabelled copy of a partition adds its parts in
+another order and can win by an ulp.
+
 Each expansion is a generator that yields the subproblems it needs; `_solve`
 runs them from an explicit stack, so a chain-shaped optimum thousands of
 levels deep never touches the interpreter stack.
@@ -66,7 +79,7 @@ from .tree import DecisionTree, grow
 
 @dataclass
 class SearchStats:
-    expansions: int = 0      # memo misses that enumerated candidate tests
+    expansions: int = 0      # memo misses, those with b <= 2 included
     memo_hits: int = 0
     pruned: int = 0          # candidates skipped or abandoned by the bound
 
@@ -172,6 +185,8 @@ class ExactSolver:
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
+        if b <= 2:
+            return self._shallow(mask, b)
         stack = [self._expand(mask, b)]
         value = None
         while True:
@@ -186,12 +201,7 @@ class ExactSolver:
                 stack.append(self._expand(*need))
                 value = None
 
-    def _expand(self, mask: int, b: int):
-        """The search at one memo miss (mask, b), b normalized: a generator
-        that yields each subproblem (part, budget) it needs solved, is sent
-        its f, and returns (f(mask, b), best test or None) after memoizing it.
-        Its part list is a hot-path copy of `DTInstance.split`: calling
-        `split` per test made exact search about 40% slower."""
+    def _count_expansion(self) -> None:
         stats = self.stats
         stats.expansions += 1
         if self.max_expansions is not None and stats.expansions > self.max_expansions:
@@ -201,20 +211,59 @@ class ExactSolver:
             )
         self._check_clock()
 
+    def _partitions(self, mask: int):
+        """(j, parts) for each test j that splits `mask`, in test order,
+        skipping a test whose partition an earlier test already made; parts
+        in answer order.  The part list is a hot-path copy of
+        `DTInstance.split`: calling `split` per test made exact search about
+        40% slower."""
+        seen: set[tuple[int, ...]] = set()
+        for j, masks in enumerate(self.inst._answer_masks, start=1):
+            parts = [pm for am in masks if (pm := mask & am)]
+            if len(parts) > 1:
+                pkey = tuple(sorted(parts))
+                if pkey not in seen:
+                    seen.add(pkey)
+                    yield j, parts
+
+    def _shallow(self, mask: int, b: int):
+        """f(mask, b) and its test at a memo miss with b in {1, 2}, b
+        normalized, from one pass over the distinct partitions (module
+        docstring, "Shallow budgets")."""
+        self._count_expansion()
+        inst = self.inst
+        p_here = inst.mask_num(mask)
+        best = best_j = None
+        if b == 1:
+            best_j = next(self._partitions(mask), (None,))[0]
+            best = p_here
+        else:
+            for j, parts in self._partitions(mask):
+                total = p_here
+                for pm in parts:
+                    if pm & (pm - 1):       # two or more members
+                        total += (inst.mask_num(pm) if self._bounded
+                                  else self._solve(pm, 1)[0])
+                if best is None or total < best:
+                    best, best_j = total, j
+        # no test splits this set: only on instances with undistinguished pairs
+        result = (0, None) if best_j is None else (best, best_j)
+        self.memo[(mask, b)] = result
+        return result
+
+    def _expand(self, mask: int, b: int):
+        """The search at one memo miss (mask, b), b normalized and above 2: a
+        generator that yields each subproblem (part, budget) above budget 2
+        it needs solved, is sent its f, and returns (f(mask, b), best test or
+        None) after memoizing it."""
+        self._count_expansion()
+        stats = self.stats
         inst = self.inst
         memo = self.memo
         p_here = inst.mask_num(mask)
         timed = self._deadline is not None
         cands = []
-        seen_partitions: set[tuple[int, ...]] = set()
-        for j, masks in enumerate(inst._answer_masks, start=1):
-            parts = [pm for am in masks if (pm := mask & am)]
-            if len(parts) <= 1:
-                continue
-            pkey = tuple(sorted(parts))
-            if pkey in seen_partitions:
-                continue
-            seen_partitions.add(pkey)
+        for j, parts in self._partitions(mask):
             if timed:
                 self._check_clock()
             subs = []
@@ -246,6 +295,8 @@ class ExactSolver:
                     if hit is not None:
                         stats.memo_hits += 1
                         total += hit[0]
+                    elif pb <= 2:
+                        total += self._shallow(pm, pb)[0]
                     else:
                         total += yield (pm, pb)
                 if i < last and cut is not None and (total + rest, j) > cut:

@@ -312,7 +312,6 @@ class DTInstance:
         self.zero = zero
         self.origin = origin
         self._full_mask = (1 << n) - 1
-        self._uniform = all(w == ws[0] for w in ws)
 
         if exact:
             den = 1
@@ -323,6 +322,10 @@ class DTInstance:
         else:
             self._wden = None
             self._wnum = ws
+        # on the numerators, not one Fraction.__eq__ per weight; `==`, not
+        # tuple.count, so that a NaN never makes an instance uniform
+        w0 = self._wnum[0]
+        self._uniform = all(w == w0 for w in self._wnum)
         self.norm = self.num_to_weight(left_sum(self._wnum, 0))
         # every weight finite and >= 0: what greedy's lower bounds rest on
         self._nonnegative = all(0 <= w < math.inf for w in self._wnum)

@@ -362,12 +362,63 @@ def test_branch_and_bound_matches_unpruned_recurrence(float_mode):
                     == tree_to_text(oracle.tree(b))), (name, b)
 
 
+@pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
+def test_shallow_budgets_match_unpruned_recurrence_on_every_set(float_mode):
+    """f(H, b) and its test for b = 1, 2 on every set of two or more members."""
+    for name, inst in _differential_corpus():
+        if inst.n > 8:
+            continue
+        if float_mode:
+            inst = inst.as_float()
+        solver, oracle = ExactSolver(inst), UnprunedSolver(inst)
+        for mask in range(1, inst.full_mask + 1):
+            if mask & (mask - 1):
+                for b in (1, 2):
+                    assert solver._solve(mask, b) == oracle.solve(mask, b), (name, mask, b)
+
+
+@pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_depth4_partial_at_workload_size_matches_unpruned(float_mode, seed):
+    """The depth-4 partial of the exact-search benchmark workload."""
+    inst = gen_random(60, 24, 2, seed)
+    if float_mode:
+        inst = inst.as_float()
+    solver, oracle = ExactSolver(inst), UnprunedSolver(inst)
+    assert (tree_to_text(solver.partial_tree(None, 4))
+            == tree_to_text(oracle.tree(4)))
+    assert solver._solve(inst.full_mask, 4)[0] == oracle.solve(inst.full_mask, 4)[0]
+
+
+def test_float_partition_dedupe_keeps_the_first_test():
+    """Tests 1 and 2 make the same partition with their answers relabelled;
+    test 2 adds the two pairs in the other order and comes out an ulp
+    lower, 1.9218915027963541, so without the dedupe it would win."""
+    weights = [0.4791208265137536, 0.1601760187362736, 0.19362823105877705,
+               0.08896642648755004, 0.07810849720364568]
+    tests = [(1, 1, 2, 2, 3), (2, 2, 1, 1, 3), (1, 2, 1, 2, 1)]
+    inst = DTInstance(weights, tests, 3)
+    want = (1.9218915027963543, 1)
+    assert UnprunedSolver(inst).solve(inst.full_mask, 2) == want
+    assert ExactSolver(inst)._solve(inst.full_mask, 2) == want
+
+
 def test_grid16_optimum_is_cheap_and_pruned():
     """Regression guard: the unpruned search took 23,450 expansions here."""
     solver = ExactSolver(gen_grid_adversarial(16, 4))
     solver.optimal_cost()
     assert solver.stats.expansions <= 300
     assert solver.stats.pruned > 0
+
+
+@pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
+def test_depth4_partial_is_cheap_in_both_modes(float_mode):
+    """Regression guard: before budgets 1 and 2 were answered in one pass,
+    this took 2,751 expansions in exact mode and 16,924 in float mode."""
+    inst = gen_random(60, 24, 2, 1)
+    solver = ExactSolver(inst.as_float() if float_mode else inst)
+    solver.partial_tree(None, 4)
+    assert solver.stats.expansions <= 3000
 
 
 def test_uniform_bounds_match_the_general_formulas():
