@@ -21,11 +21,17 @@ RecursionTrace so the accounting that justifies the cost guarantee (level
 families, their disjointness, the exact cost decomposition, per-level weight
 contraction) can be audited after the fact.
 
+The output tree is one `grow` rule applied set by set.  Each call returns
+the set -> test map of the tree it keeps; a set in the current call's map
+takes its test, and a set of two or more members that is not in it is a
+depth-b leaf, which opens the next call one level down.  `grow` visits sets
+in preorder, so the calls run in recursion order.
+
 `FullTreeConfig.b` and `.threshold`, when set, replace the two formulas.  At
 every n the exact search can finish, the formula budget is capped at n-1 and
 a default run is one complete optimal expansion; a small b with an
 unreachable threshold (say b=2, threshold=1e9) makes every call expand, so
-the grafting and the multi-level recursion run at small n.  The guarantee and
+the multi-level recursion runs at small n.  The guarantee and
 the budget-dependent trace audits assume the formula values.
 """
 
@@ -39,7 +45,7 @@ from .exact import ExactSolver
 from .greedy import build_greedy_node
 from .instance import DTInstance, Number, close, left_sum, log2, require_valid
 from .report import AuditLine, make_line
-from .tree import DecisionTree, Entries, cost
+from .tree import DecisionTree, cost, grow
 
 GENERAL = "general"
 UNIFORM = "uniform"
@@ -158,72 +164,53 @@ class _Driver:
     def __init__(self, inst: DTInstance, cfg: FullTreeConfig,
                  solver: ExactSolver | None = None):
         self.inst = inst
-        self.cfg = cfg
-        self.n = inst.n
-        self.b = depth_budget(inst.n, cfg) if cfg.b is None else cfg.b
-        self.threshold = (keep_greedy_threshold(inst.n, cfg, self.b)
-                          if cfg.threshold is None else cfg.threshold)
+        b = depth_budget(inst.n, cfg) if cfg.b is None else cfg.b
+        threshold = (keep_greedy_threshold(inst.n, cfg, b)
+                     if cfg.threshold is None else cfg.threshold)
         self.total_num = inst.mask_num(inst.full_mask)
         if solver is not None and solver.inst is not inst:
             raise ParameterError("the exact solver belongs to another instance")
         self.solver = ExactSolver(inst) if solver is None else solver
-        self.trace = RecursionTrace(cfg, inst.n, self.b, self.threshold)
-
-    def _is_small(self, mask: int) -> bool:
-        # normalized mass test: p(H)/p([n]) < 1/n^2, exact by cross-multiplying
-        return self.inst.mask_num(mask) * (self.n * self.n) < self.total_num
-
-    def greedy_tree(self, mask: int) -> DecisionTree:
-        if (self.cfg.mode == UNIFORM and mask.bit_count() < self.cfg.n0):
-            return self.solver.partial_tree(mask, max(mask.bit_count() - 1, 0))
-        return build_greedy_node(self.inst, mask)
+        self.trace = RecursionTrace(cfg, inst.n, b, threshold)
 
     def solve(self, mask: int, level: int) -> DecisionTree:
-        """The output tree for `mask`.  Calls run in recursion order (an
-        expanded call, then the calls on its depth-b leaves, left to right)
-        from an explicit stack.  Each call's nodes go into one entry list,
-        its root under the node whose leaf it replaces, after that node's
-        other children; `DecisionTree` indexes them in preorder, so a small b
-        on a deep instance cannot exhaust the interpreter stack."""
-        entries = Entries()
-        stack = [(mask, level, None, None)]    # (set, level, parent entry, answer)
-        while stack:
-            mask, level, parent, answer = stack.pop()
-            tree = self._call(mask, level)
-            at: list[int] = []                 # record id -> entry index
-            grafts = []
-            for rec in tree.records:
-                edge = ((parent, answer) if rec.parent_id is None
-                        else (at[rec.parent_id], rec.parent_answer))
-                at.append(len(entries.tests))
-                if rec.is_leaf and rec.mask & (rec.mask - 1):
-                    if rec.depth != self.b:
-                        raise StructureError(
-                            "multi-hypothesis leaf above the depth budget: "
-                            "set has no splitting test")
-                    grafts.append((rec.mask, level + 1) + edge)
-                else:
-                    entries.add(rec.test, rec.mask, *edge)
-            stack.extend(reversed(grafts))
-        return DecisionTree(entries)
+        """The output tree for `mask`: the call on it at `level`, grown by
+        `_split` with (the current call's set -> test map, its level)."""
+        return grow(self.inst, mask, self._split, (self._call(mask, level), level))
 
-    def _call(self, mask: int, level: int) -> DecisionTree:
-        """Record one call: the greedy tree it keeps, or its partial tree."""
-        g = self.greedy_tree(mask)
-        gcost = cost(g, self.inst, mask).total
-        weight = self.inst.mask_weight(mask)
-        decision = (GREEDY_SMALL_WEIGHT if self._is_small(mask) else
-                    GREEDY_NEAR_OPTIMAL if gcost >= self.threshold else EXPANDED)
-        if decision != EXPANDED:
-            self.trace.records.append(CallRecord(
-                level, mask, weight, decision, gcost, None))
-            return g
+    def _split(self, mask: int, ctx: tuple[dict[int, int], int]):
+        tests, level = ctx
+        if mask not in tests:
+            if not mask & (mask - 1):
+                return None
+            level += 1
+            tests = self._call(mask, level)
+        return tests[mask], (tests, level)
 
-        partial = self.solver.partial_tree(mask, self.b)
-        pcost = self.solver.partial_cost(mask, self.b)
-        self.trace.records.append(CallRecord(
-            level, mask, weight, EXPANDED, gcost, pcost))
-        return partial
+    def _call(self, mask: int, level: int) -> dict[int, int]:
+        """Record one call; returns set -> test over the interior of the tree
+        it keeps: the greedy tree, or its depth-b partial tree."""
+        trace, inst, size = self.trace, self.inst, mask.bit_count()
+        if trace.cfg.mode == UNIFORM and size < trace.cfg.n0:
+            tree = self.solver.partial_tree(mask, max(size - 1, 0))
+        else:
+            tree = build_greedy_node(inst, mask)
+        gcost = cost(tree, inst, mask).total
+        # p(H)/p([n]) < 1/n^2, exact by cross-multiplying
+        small = inst.mask_num(mask) * (inst.n * inst.n) < self.total_num
+        decision = (GREEDY_SMALL_WEIGHT if small else
+                    GREEDY_NEAR_OPTIMAL if gcost >= trace.threshold else EXPANDED)
+        pcost = None
+        if decision == EXPANDED:
+            tree = self.solver.partial_tree(mask, trace.b)
+            pcost = self.solver.partial_cost(mask, trace.b)
+        trace.records.append(CallRecord(
+            level, mask, inst.mask_weight(mask), decision, gcost, pcost))
+        for rec in tree.leaves():
+            if rec.mask & (rec.mask - 1) and rec.depth != trace.b:
+                raise StructureError("multi-hypothesis leaf above the depth "
+                                     "budget: set has no splitting test")
+        return {rec.mask: rec.test for rec in tree.interior_records()}
 
 
 def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -272,10 +273,15 @@ def gen_setcover_reduction(n0: int, sets, r: float):
             "(uncovered elements make hypotheses indistinguishable)")
 
     q = math.floor(math.log2(n0) / r)
-    ell = math.floor(n0 ** (1.0 / r) / (n0 * q + 1))
+    try:
+        ell = math.floor(n0 ** (1.0 / r) / (n0 * q + 1))
+    except OverflowError:
+        raise ParameterError(f"r={r} too small: n0^(1/r) overflows") from None
     if ell < 1:
         raise ParameterError(f"n0 too small for r: block count would be {ell}")
     n = ell * (q * n0 + 1)
+    if n > sys.maxsize:
+        raise ParameterError(f"r={r} asks for {n} hypotheses, above {sys.maxsize}")
     M = len(sets)
 
     def real_index(h1: int, h2: int, h3: int) -> int:

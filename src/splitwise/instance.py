@@ -301,6 +301,8 @@ class DTInstance:
                     raise ParameterError(f"test {j}: answer {max(row)} above {sys.maxunicode}")
                 raise ParameterError(f"test {j}: answer {a} outside 1..{k}")
             row_masks.append(_row_masks(backward, hi))
+        if k > sys.maxunicode:      # above any answer a row may hold
+            raise ParameterError(f"K={k} above {sys.maxunicode}")
         amasks = [masks + (0,) * (k - len(masks)) for masks in row_masks]
 
         self.n = n

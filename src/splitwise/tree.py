@@ -5,16 +5,16 @@ Builders write a tree as `Entries`, one entry per node: its test (None for a
 leaf), its cached set L(v) of hypotheses consistent with the root-to-node
 path, its parent entry and the answer on the parent edge.  `DecisionTree`,
 made from entries and nothing else, indexes them once: record i is node i in
-preorder, children in ascending answer order, so the fulltree driver's grafts
-(appended after their siblings) and JSON children listed out of order index
-like entries written in preorder.  Absent children are legal for answers no
+preorder, children in ascending answer order, so a document's children in
+any order (JSON children, text siblings) and hand-built entries index like
+entries written in preorder.  Absent children are legal for answers no
 consistent hypothesis takes.  Depth of the root is 0.
 
 Every builder is a split rule handed to `grow`: greedy, the exact and
-depth-budgeted optimum, the rounding audit's random trees and the grid
-certificate differ only in how they pick the test at a set, which `grow` cuts
-into its parts with `DTInstance.split`.  Every rebuild (a parsed document, the
-fulltree driver's spliced calls, a corrupted copy) writes entries.  No builder
+depth-budgeted optimum, the fulltree driver, the rounding audit's random
+trees and the grid certificate differ only in how they pick the test at a
+set, which `grow` cuts into its parts with `DTInstance.split`.  Every
+rebuild (a parsed document, a corrupted copy) writes entries.  No builder
 and no walker recurses, so chain-shaped trees thousands of levels deep
 round-trip through text and JSON.
 

@@ -294,6 +294,16 @@ class TestGen:
         assert rc == EXIT_INVALID
         assert err.startswith("invalid input") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("r", ["1e-300", "0.01"])
+    def test_reduction_too_small_r_exits_2(self, capsys, r):
+        """n0^(1/r) overflows a float at 1e-300; at 0.01 it asks for about
+        1.3e30 hypotheses, more than any list holds."""
+        rc = main(["gen", "reduction", "--n0", "2", "--sets", "1;2",
+                   "--r", r])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID
+        assert err.startswith("invalid input") and len(err.splitlines()) == 1
+
     def test_gen_infeasible_exit_2(self, capsys):
         rc = main(["gen", "random", "--n", "7", "--m", "1", "--seed", "0"])
         err = capsys.readouterr().err

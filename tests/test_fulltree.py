@@ -19,6 +19,7 @@ from splitwise import (
     FullTreeConfig,
     NonUniformError,
     ParameterError,
+    StructureError,
     all_pass,
     approximation_factor,
     audit_trace,
@@ -226,18 +227,25 @@ def test_audit_trace_full_battery():
                 "level_contribution", "fulltree_bound"} <= names
 
 
+FORCED = FullTreeConfig(alpha=0.5, mode="uniform", n0=2, b=2, threshold=1e9)
+
+
+def forced_recursion_corpus():
+    """25 uniform instances of 6-10 hypotheses on which FORCED recurses."""
+    rng = random.Random(99)
+    for _ in range(25):
+        yield random_valid_instance(rng, rng.randrange(6, 11),
+                                    rng.randrange(3, 7), 2, uniform=True)
+
+
 def test_forced_recursion_grafts_correctly():
     """Shrinking the budget to 2 (with the keep-greedy threshold pushed out
     of reach so every call expands) forces depth-2 multi-leaves to be
     re-solved; the grafted tree must stay complete, consistent, and
     cost-coherent."""
-    rng = random.Random(99)
-    cfg = FullTreeConfig(alpha=0.5, mode="uniform", n0=2, b=2, threshold=1e9)
     recursed = 0
-    for idx in range(25):
-        inst = random_valid_instance(rng, rng.randrange(6, 11),
-                                     rng.randrange(3, 7), 2, uniform=True)
-        tree, trace = full_tree(inst, cfg)
+    for idx, inst in enumerate(forced_recursion_corpus()):
+        tree, trace = full_tree(inst, FORCED)
         assert is_complete(tree, inst), f"case {idx}"
         assert structural_problems(tree, inst) == [], f"case {idx}"
         if trace.depth() > 0:
@@ -249,6 +257,32 @@ def test_forced_recursion_grafts_correctly():
             bad = [l for l in lines if l.name in keep and not l.passed]
             assert not bad, f"case {idx}: {bad}"
     assert recursed >= 5, "forced budget never actually recursed"
+
+
+def test_calls_run_in_the_output_tree_preorder():
+    """Each call's set is a node of the output tree, and the calls are
+    recorded in that tree's preorder: recursion order."""
+    calls = 0
+    for idx, inst in enumerate(forced_recursion_corpus()):
+        tree, trace = full_tree(inst, FORCED)
+        node_of = {rec.mask: rec.id for rec in tree.records}
+        assert all(r.mask in node_of for r in trace.records), f"case {idx}"
+        ids = [node_of[r.mask] for r in trace.records]
+        assert ids[0] == 0 and ids == sorted(set(ids)), f"case {idx}: {ids}"
+        calls += len(ids)
+    assert calls > 50, "forced budget never actually recursed"
+
+
+def test_multi_hypothesis_leaf_above_the_budget_raises():
+    """Hypotheses 1 and 2 answer alike on both tests, so the depth-3
+    expansion leaves them together at depth 1; the driver refuses to
+    recurse on a set that no test splits."""
+    from splitwise.fulltree import _Driver
+    inst = DTInstance([Fraction(1, 4)] * 4, [(1, 1, 2, 2), (1, 1, 1, 2)], 2)
+    driver = _Driver(inst, FullTreeConfig(alpha=0.5, mode="uniform", n0=12,
+                                          b=3, threshold=1e9))
+    with pytest.raises(StructureError, match="above the depth budget"):
+        driver.solve(inst.full_mask, 0)
 
 
 def test_small_weight_shortcut_fires():

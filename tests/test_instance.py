@@ -214,6 +214,20 @@ def test_parse_memory_follows_the_rows_not_k():
     assert peak < 24 * 10 ** 6
 
 
+def test_declared_k_above_the_largest_answer_is_refused():
+    """A K no answer row may reach is refused before the answer masks are
+    padded to it, by the constructor and, as FormatError, by both readers."""
+    big = sys.maxunicode + 1
+    with pytest.raises(ParameterError, match=f"K={big} above"):
+        DTInstance([Fraction(1, 2)] * 2, [[1, 2]], k=big)
+    huge = 10 ** 20
+    with pytest.raises(FormatError, match=f"K={huge} above"):
+        DTInstance.from_text(f"2 1 {huge}\n1/2 1/2\n1 2\n")
+    with pytest.raises(FormatError, match=f"K={huge} above"):
+        DTInstance.from_json_obj({"k": huge, "weights": ["1/2", "1/2"],
+                                  "tests": [[1, 2]]})
+
+
 @pytest.mark.parametrize("answer", [2.7, 1.5, Fraction(3, 2)])
 def test_numbers_that_int_would_truncate_are_refused(answer):
     with pytest.raises(ParameterError, match=r"^test 1: non-integer answer$"):

@@ -380,9 +380,8 @@ def test_entries_rebuild_records():
 
 
 def test_entries_out_of_order_index_like_preorder():
-    # the perfect tree with each node's children in descending answer order
-    # and the left subtree's leaves appended after its sibling subtree, as
-    # the fulltree driver appends a graft after the rest of its call
+    # the perfect tree with each node's children in descending answer order,
+    # the entries a JSON document listing the children that way is read into
     entries = Entries()
     root = entries.add(1, 0b1111, None, None)
     right = entries.add(2, 0b1100, root, 2)
