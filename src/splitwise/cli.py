@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -26,8 +27,8 @@ from pathlib import Path
 
 from .audits import run_battery
 from .chains import theorem1_bound
-from .errors import (BudgetExceededError, FormatError, InvalidInstanceError,
-                     ParameterError, SplitwiseError)
+from .errors import (BudgetExceededError, FormatError, GenerationError,
+                     InvalidInstanceError, ParameterError, SplitwiseError)
 from .exact import ExactSolver, optimal_cost
 from .fulltree import (FullTreeConfig, approximation_factor, audit_trace,
                        full_tree)
@@ -245,9 +246,16 @@ def _experiment_rows(args, budget):
 
     if args.family == "random":
         for n in _sizes(args.sizes, (5, 6, 7, 8, 9)):
+            # from ceil(log2 n) + 2 tests up, the first m that separates n
+            # random answer vectors at this seed
             m = max(4, math.ceil(math.log2(max(n, 2))) + 2)
-            inst = gen_random(n, m, 2, seed=args.seed + n, profile="uniform",
-                              exact=not as_float)
+            while True:
+                try:
+                    inst = gen_random(n, m, 2, seed=args.seed + n,
+                                      profile="uniform", exact=not as_float)
+                    break
+                except GenerationError:
+                    m += 1
             iid = f"random-n{n}-s{args.seed}"
             t0 = time.perf_counter()
             try:
@@ -383,9 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call of a process and reused:
+    each build formats 45 arguments' help.  Every parse fills a new
+    namespace, so no call sees another's options."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

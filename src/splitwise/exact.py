@@ -50,15 +50,24 @@ total cannot change a tree.
 Shallow budgets.  Budgets 1 and 2 need no search.  Every part of a split has
 a budget of 0 or 1, and f(H, 1) = p(H) at the first test that splits H,
 since every split costs the same.  So f(H, 2) is p(H) plus, for the best
-test, the weight of each part of two or more members, added in answer order,
-and the lowest such test of minimum total wins.  `_shallow` answers these
-memo misses with one pass over the distinct partitions, with no candidate
-list, bound or subproblem stack.  Every set of three or fewer members
-normalizes to such a budget, so full-depth solves use it too.  On an
-instance with undistinguished pairs a part of two or more members adds its
-own f(part, 1), which is 0 when no test splits it.  The partition dedupe
-stays: in float mode a relabelled copy of a partition adds its parts in
-another order and can win by an ulp.
+test, the weight of each part of two or more members, and the lowest such
+test of minimum total wins.  `_shallow` answers these memo misses with one
+pass over the tests, with no candidate list, bound or subproblem stack.
+Every set of three or fewer members normalizes to such a budget, so
+full-depth solves use it too.  In exact mode, on an instance where every
+set of two or more splits, the parts sum to H, so
+
+    f(H, 2) = 2·p(H) - (the weight of the split's singleton parts),
+
+and the best test is the first splitting test of greatest singleton weight.
+Each test then costs its K ANDs and a one-member check per part, with no
+part sums and no partition dedupe: integer sums do not depend on order, so
+a relabelled copy of a partition ties and the first test wins anyway.
+Float mode adds each part of two or more members in answer order over the
+distinct partitions: a relabelled copy adds its parts in another order and
+can win by an ulp, so the dedupe keeps the first test.  On an instance with
+undistinguished pairs a part of two or more members adds its own
+f(part, 1), which is 0 when no test splits it.
 
 Each expansion is a generator that yields the subproblems it needs; `_solve`
 runs them from an explicit stack, so a chain-shaped optimum thousands of
@@ -228,8 +237,10 @@ class ExactSolver:
 
     def _shallow(self, mask: int, b: int):
         """f(mask, b) and its test at a memo miss with b in {1, 2}, b
-        normalized, from one pass over the distinct partitions (module
-        docstring, "Shallow budgets")."""
+        normalized, from one pass over the tests (module docstring, "Shallow
+        budgets").  The exact-mode loop over a test's answers is a hot-path
+        copy of `DTInstance.split`: iterating `_partitions` there made the
+        depth-4 partial about 1.5x slower, for a dedupe it does not need."""
         self._count_expansion()
         inst = self.inst
         p_here = inst.mask_num(mask)
@@ -237,6 +248,22 @@ class ExactSolver:
         if b == 1:
             best_j = next(self._partitions(mask), (None,))[0]
             best = p_here
+        elif self._bounded and inst.exact:
+            # f = 2·p(H) - the weight of the split's singleton parts
+            wn = inst._wnum
+            most = -1
+            for j, masks in enumerate(inst._answer_masks, start=1):
+                single = 0
+                for am in masks:
+                    pm = mask & am
+                    if pm == mask:          # this test does not split H
+                        break
+                    if pm and not pm & (pm - 1):
+                        single += wn[pm.bit_length() - 1]
+                else:
+                    if single > most:
+                        most, best_j = single, j
+            best = 2 * p_here - most
         else:
             for j, parts in self._partitions(mask):
                 total = p_here

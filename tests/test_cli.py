@@ -1,5 +1,6 @@
 """Command-line harness, exercised in-process through main(argv)."""
 
+import csv
 import json
 import os
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from splitwise import DTInstance, validate_instance
+from splitwise import cli
 from splitwise.cli import (EXIT_AUDIT, EXIT_BUDGET, EXIT_INVALID, EXIT_OK,
                            main)
 
@@ -425,3 +427,44 @@ class TestExperiment:
         first = lines[1].split(",")
         assert first[0].startswith("reduction-0")
         assert first[6] == "58/9"     # exact optimum of the minimal build
+
+    def test_random_sizes_that_need_more_tests(self, capsys):
+        """At seed 0, n = 44 and 64 need more than ceil(log2 n) + 2 binary
+        tests to separate n random answer vectors."""
+        rc = main(["experiment", "--family", "random", "--sizes", "44,64"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [int(r["n"]) for r in rows] == [44, 64]
+        for r in rows:
+            assert r["status"] == "ok"
+            c_opt, c_g = Fraction(r["baseline"]), Fraction(r["cost"])
+            assert c_opt <= c_g <= float(r["bound_value"])
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argvs", [
+    [["audit", "--only", "identity"], ["audit", "--only", "mssc"]],
+    [["solve", "INSTANCE", "--float"], ["solve", "INSTANCE"]],
+], ids=["audit-only", "solve-float"])
+def test_reused_parser_prints_what_fresh_parsers_print(tmp_path, capsys,
+                                                        argvs):
+    """Two main() calls on the parser built once print what two calls on
+    freshly built parsers print: no option carries over between calls."""
+    path = write_instance(tmp_path, "singleton3.txt", singleton3_text())
+    argvs = [[path if a == "INSTANCE" else a for a in argv] for argv in argvs]
+
+    def outputs(fresh: bool):
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            got.append((main(argv), capsys.readouterr().out))
+        return got
+
+    reused = outputs(fresh=False)
+    assert reused == outputs(fresh=True)
+    assert reused[0] != reused[1]

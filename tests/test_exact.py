@@ -344,6 +344,12 @@ def _differential_corpus():
         inst = gen_random(n, rng.randrange(4, 8), K, seed=rng.randrange(10**6),
                           profile=profile, ratio=rng.choice([2, 8]))
         cases.append((f"{profile} n={n} K={K}", inst))
+    # test 1 makes no singleton, test 2 a zero-weight one: f(H, 2) ties and
+    # test 1 must win
+    cases.append(("zero-weight singleton tie",
+                  DTInstance([Fraction(0), Fraction(1, 3), Fraction(1, 3),
+                              Fraction(1, 3)],
+                             [(1, 1, 2, 2), (1, 2, 2, 2), (1, 2, 1, 2)], 2)))
     return cases
 
 
@@ -401,6 +407,54 @@ def test_float_partition_dedupe_keeps_the_first_test():
     want = (1.9218915027963543, 1)
     assert UnprunedSolver(inst).solve(inst.full_mask, 2) == want
     assert ExactSolver(inst)._solve(inst.full_mask, 2) == want
+
+
+def test_exact_partition_duplicate_keeps_the_first_test():
+    """The relabelled-duplicate instance above with its weights as Fractions:
+    tests 1 and 2 tie exactly at 2·p(H) minus the singleton {5}, and test 1
+    wins without a partition dedupe."""
+    weights = [Fraction(w) for w in (
+        0.4791208265137536, 0.1601760187362736, 0.19362823105877705,
+        0.08896642648755004, 0.07810849720364568)]
+    tests = [(1, 1, 2, 2, 3), (2, 2, 1, 1, 3), (1, 2, 1, 2, 1)]
+    inst = DTInstance(weights, tests, 3)
+    full = inst.full_mask
+    want = (2 * inst.mask_num(full) - inst.mask_num(1 << 4), 1)
+    assert UnprunedSolver(inst).solve(full, 2) == want
+    assert ExactSolver(inst)._solve(full, 2) == want
+
+
+@pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
+def test_exact_budget2_reads_no_part_sums(monkeypatch, float_mode):
+    """On a bounded instance in exact mode `_shallow(mask, 2)` weighs only
+    the set itself and never iterates `_partitions`; float mode still sums
+    its parts over the distinct partitions."""
+    inst = gen_random(8, 6, 2, 3)
+    if float_mode:
+        inst = inst.as_float()
+    calls = {"partitions": 0, "part sums": 0}
+    partitions, mask_num = ExactSolver._partitions, DTInstance.mask_num
+    mask = inst.full_mask
+
+    def counted_partitions(self, m):
+        calls["partitions"] += 1
+        return partitions(self, m)
+
+    def counted_mask_num(self, m):
+        calls["part sums"] += m != mask
+        return mask_num(self, m)
+
+    solver = ExactSolver(inst)
+    assert solver._bounded
+    monkeypatch.setattr(ExactSolver, "_partitions", counted_partitions)
+    monkeypatch.setattr(DTInstance, "mask_num", counted_mask_num)
+    got = solver._shallow(mask, 2)
+    monkeypatch.undo()
+    assert got == UnprunedSolver(inst).solve(mask, 2)
+    if float_mode:
+        assert calls["partitions"] == 1 and calls["part sums"] > 0
+    else:
+        assert calls == {"partitions": 0, "part sums": 0}
 
 
 def test_grid16_optimum_is_cheap_and_pruned():
