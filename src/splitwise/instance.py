@@ -187,35 +187,75 @@ def _answer_char(a):
     return chr(i) if 0 <= i <= sys.maxunicode else i
 
 
-def _answer_text(row, chars: LazyTable) -> Union[str, list]:
-    """A test row as its answer text, chr(answer) per hypothesis, joined
-    through `chars`, a LazyTable of `_answer_char`: each distinct answer or
-    token is read by int() once.  A row holding an answer that chr()
-    cannot encode comes back as its list of ints, for the range check to
-    name."""
+# the rows that bytes() reads in one C pass when every answer is in 0..255
+_BYTE_ROWS = (list, tuple, bytes)
+
+# '0'..'9' to the answers 0..9, for the single-digit rows of `from_text`
+_DIGIT_ANSWERS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _answer_row(row, chars: LazyTable) -> tuple[int, ...]:
+    """A test row as its tuple of int answers.  A list, tuple or bytes of
+    ints in 0..255, which is every row the generators make at K <= 255 and
+    every row `from_text` cuts from a single-digit line, is read by bytes()
+    with no Python call per answer.  Any other row is joined into its
+    answer text, chr(answer) per hypothesis, through `chars`, a LazyTable
+    of `_answer_char`: each distinct answer or token is read by int()
+    once.  A row holding an unhashable answer, or one that chr() cannot
+    encode, is read one answer at a time."""
+    if type(row) in _BYTE_ROWS:
+        try:
+            return tuple(bytes(row))
+        except (TypeError, ValueError):     # a non-int, or one outside 0..255
+            pass
     try:
-        return "".join(map(chars.__getitem__, row))
+        text = "".join(map(chars.__getitem__, row))
     except TypeError:       # an unhashable answer, or one with no character
-        answers = list(map(_answer, row))
+        return tuple(map(_answer, row))
     try:
-        return "".join(map(chr, answers))
-    except (ValueError, OverflowError):
-        return answers
+        return tuple(text.encode("latin-1"))
+    except UnicodeEncodeError:      # an answer above 255
+        return tuple(map(ord, text))
 
 
-def _row_masks(backward: str, hi: int) -> tuple[int, ...]:
-    """The answer masks of a row for answers 1..hi, hi its largest answer,
-    from its answer text last hypothesis first.  The answer-a mask is that
-    text translated by a table of hi+1 bytes, '1' at index a and '0' at
-    every other, and read in base 2; it is 0 when chr(a) is absent.  Leading
-    zeros are stripped first, since int() sizes its result by the length of
-    the string.  No set of the row's answers is built: a throwaway set per
-    row cost exact-search about 0.12 MB of peak RSS."""
+def _row_masks(row: tuple[int, ...], k: int, valid: bytes) -> tuple[int, ...] | None:
+    """The answer masks of a row, indexed by answer-1, or None when an
+    answer lies outside 1..k.  The answer-a mask is the row's answers, last
+    hypothesis first, translated by a table of '1' at index a and '0' at
+    every other, and read in base 2; it is 0 when a is absent.  Leading
+    zeros are stripped first, since int() sizes its result by the length
+    of the string.
+
+    A row of answers in 0..255, every row at K <= 255, is read as bytes,
+    each step one C pass: deleting `valid`, the bytes 1..min(k, 255),
+    leaves nothing when every answer is in range, and its masks run to
+    min(k, 255).  No set of its answers is built: a throwaway set per row
+    cost exact-search about 0.12 MB of peak RSS.  Any other row is read as
+    text (`_text_row_masks`)."""
+    try:
+        backward = bytes(row)[::-1]
+    except ValueError:                      # an answer outside 0..255
+        return _text_row_masks(row, k)
+    if backward.translate(None, valid):
+        return None
+    return tuple(int(backward.translate(b"0" * a + b"1" + b"0" * (255 - a)).lstrip(b"0"), 2)
+                 if a in backward else 0 for a in range(1, len(valid) + 1))
+
+
+def _text_row_masks(row: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+    """`_row_masks` of a row with an answer outside 0..255, from its text,
+    chr(answer) per hypothesis: masks up to its largest answer, made for
+    the set of its answers."""
+    try:
+        backward = "".join(map(chr, reversed(row)))
+    except (ValueError, OverflowError):     # an answer chr() cannot encode
+        return None
+    hi = ord(max(backward))
+    if hi > k or "\0" in backward:
+        return None
     masks = [0] * hi
-    for a in range(1, hi + 1):
-        if chr(a) in backward:
-            table = b"0" * a + b"1" + b"0" * (hi - a)
-            masks[a - 1] = int(backward.translate(table).lstrip("0"), 2)
+    for a in map(ord, set(backward)):
+        masks[a - 1] = int(backward.translate(b"0" * a + b"1" + b"0" * (hi - a)).lstrip("0"), 2)
     return tuple(masks)
 
 
@@ -264,43 +304,39 @@ class DTInstance:
             raise ParameterError("instance needs at least one hypothesis")
         n = len(ws)
 
-        # Each row is read into its answer text, chr(answer) per hypothesis,
-        # and from it into its answer tuple.  Every row is read before any is
-        # checked, so that a non-integer answer anywhere is named first.
+        # Each row is read into its answer tuple (`_answer_row`), and every
+        # row is read before any is checked, so that a non-integer answer
+        # anywhere is named first.
         chars = LazyTable(_answer_char)
         rows = []
         for j, row in enumerate(tests, start=1):
             try:
-                text = _answer_text(row, chars)
+                rows.append(_answer_row(row, chars))
             except ValueError as exc:
                 raise ParameterError(f"test {j}: non-integer answer") from exc
-            rows.append(tuple(map(ord, text)) if isinstance(text, str) else tuple(text))
         rows = tuple(rows)
         if k is None:
             k = max((max(row) for row in rows if row), default=2)
             k = max(k, 2)
         k = int(k)
 
-        # The masks come from the row's text, last hypothesis first, made
-        # again from the tuple: keeping each row's first text until here
-        # cost grid-scale 5.7 MB of peak RSS, and making the masks as the
-        # rows are read cost exact-search about 0.25 MB.  The K-long mask
-        # tuples are made once every row has passed its checks.
+        # The checks and the masks (`_row_masks`) come in a second pass,
+        # from the tuples: keeping a second copy of each row until here,
+        # its answer text, cost grid-scale 5.7 MB of peak RSS, and making
+        # the masks as the rows are read cost exact-search about 0.25 MB.
+        # The K-long mask tuples are made once every row has passed.
+        valid = bytes(range(1, min(k, 255) + 1))
         row_masks = []
         for j, row in enumerate(rows, start=1):
             if len(row) != n:
                 raise ParameterError(f"test {j} has {len(row)} answers, expected {n}")
-            try:
-                backward = "".join(map(chr, reversed(row)))
-            except (ValueError, OverflowError):     # an answer chr() cannot encode
-                backward = "\0"
-            hi = ord(max(backward))
-            if "\0" in backward or hi > k:
+            masks = _row_masks(row, k, valid)
+            if masks is None:
                 a = next((a for a in row if not 1 <= a <= k), None)
                 if a is None:
                     raise ParameterError(f"test {j}: answer {max(row)} above {sys.maxunicode}")
                 raise ParameterError(f"test {j}: answer {a} outside 1..{k}")
-            row_masks.append(_row_masks(backward, hi))
+            row_masks.append(masks)
         if k > sys.maxunicode:      # above any answer a row may hold
             raise ParameterError(f"K={k} above {sys.maxunicode}")
         amasks = [masks + (0,) * (k - len(masks)) for masks in row_masks]
@@ -450,9 +486,14 @@ class DTInstance:
             raise FormatError(f"expected {n} weights, found {len(wtoks)}")
         weights = [parse_number(t, exact=exact) for t in wtoks]
 
-        def rows():     # answer tokens; __init__ converts them
+        def rows():     # answer tokens, which __init__ converts
             for idx, line in enumerate(lines[2:], start=1):
-                toks = line.split()
+                digits = line[::2].encode()
+                if digits.isdigit() and not line[1::2].strip():
+                    # one digit per token: the answers, one byte each
+                    toks = digits.translate(_DIGIT_ANSWERS)
+                else:
+                    toks = line.split()
                 if len(toks) != n:
                     raise FormatError(f"test {idx}: expected {n} answers, found {len(toks)}")
                 yield toks

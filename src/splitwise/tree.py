@@ -246,14 +246,16 @@ class CostBreakdown:
 
 def descent(tree: DecisionTree, inst: DTInstance, h: int) -> list[NodeRecord]:
     """The records from the root down h's answers to the deepest vertex
-    consistent with h (answer descent, never the cached masks)."""
+    consistent with h (answer descent, never the cached masks).  The
+    answers are read from `inst.tests` directly: the tree's tests are tests
+    of `inst`, as every builder and document reader makes them."""
     if not 1 <= h <= inst.n:
         raise ParameterError(f"hypothesis {h} outside 1..{inst.n}")
-    recs = tree.records
+    recs, rows = tree.records, inst.tests
     rec = recs[0]
     path = [rec]
     while rec.test is not None:
-        answer = inst.answer_of(rec.test, h)
+        answer = rows[rec.test - 1][h - 1]
         for cid in rec.child_ids:
             if recs[cid].parent_answer == answer:
                 break

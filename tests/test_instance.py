@@ -142,6 +142,110 @@ def test_answer_beyond_unicode_refused():
         DTInstance([Fraction(1, 2)] * 2, [[1, big]], big)
 
 
+# answers at the edges of the row readers: one digit, one byte, the UTF-16
+# surrogates, the last character, and either side of the answers there are
+EDGE_ANSWERS = (0, 1, 9, 10, 255, 256, 0xD7FF, 0xD800, 0xDFFF, 0xFFFF, 0x10000,
+                sys.maxunicode, -1, sys.maxunicode + 1)
+
+
+def _reference_read(rows, k, n):
+    """(tests, answer masks, K) of int answer rows, or the error text, one
+    entry at a time: the rows in order, each its length and then its first
+    answer outside 1..K, then K itself."""
+    if k is None:
+        k = max([2] + [a for row in rows for a in row])
+    for j, row in enumerate(rows, start=1):
+        if len(row) != n:
+            return f"test {j} has {len(row)} answers, expected {n}"
+        bad = [a for a in row if not 1 <= a <= k]
+        if bad:
+            return f"test {j}: answer {bad[0]} outside 1..{k}"
+        if max(row) > sys.maxunicode:
+            return f"test {j}: answer {max(row)} above {sys.maxunicode}"
+    if k > sys.maxunicode:
+        return f"K={k} above {sys.maxunicode}"
+    return tuple(map(tuple, rows)), _reference_masks(rows, k), k
+
+
+def _edge_cases():
+    """(rows, declared K) pairs: each edge answer beside 1 and 2 under K
+    absent, 10 and 300, and itself as the declared K when that is 2 or
+    more; all of them in one row; each alone, n = 1.  K = sys.maxunicode,
+    whose mask tuples are 8 MB a row, is read once."""
+    for a in EDGE_ANSWERS:
+        ks = {a} if a == sys.maxunicode else {None, 10, 300, a} - {-1, 0, 1}
+        for k in ks:
+            yield [[1, a, 2], [a, 2, 1]], k
+    yield [list(EDGE_ANSWERS), list(EDGE_ANSWERS[::-1])], None
+    yield [[1, 2, 9, 3], [9, 1, 2, 0]], 9         # one digit, 0 out of range
+    yield [[1, 2, 300, 3], [300, 1, 2, 0]], 300   # 0 beside an answer above 255
+    for a in EDGE_ANSWERS:                         # one hypothesis
+        for k in (9, 300, 0x10000):
+            yield [[a], [1]], k
+
+
+def _read_all_ways(rows, k, n):
+    """The outcome, as `_reference_read` gives it, of every reader on
+    `rows`: the constructor on lists, tuples and str tokens, the JSON
+    reader, and the text reader on the document `to_text` would write and
+    on tab-separated, double-spaced, zero-padded and signed tokens."""
+    weights = [Fraction(1, n)] * n
+
+    def outcome(read, prefix=""):
+        try:
+            inst = read()
+        except (ParameterError, FormatError) as exc:
+            assert str(exc).startswith(prefix)
+            return str(exc)[len(prefix):]
+        assert all(type(a) is int for row in inst.tests for a in row)
+        return inst.tests, inst._answer_masks, inst.k
+
+    ways = {
+        "list": lambda: DTInstance(weights, [list(r) for r in rows], k),
+        "tuple": lambda: DTInstance(weights, [tuple(r) for r in rows], k),
+        "str": lambda: DTInstance(weights, [list(map(str, r)) for r in rows], k),
+    }
+    results = {name: outcome(read) for name, read in ways.items()}
+    obj = {"weights": ["1/%d" % n] * n, "tests": rows}
+    if k is not None:
+        obj["k"] = k
+    results["json"] = outcome(lambda: DTInstance.from_json_obj(obj),
+                              "bad instance document: ")
+    if k is not None:
+        for name, sep, token in (("text", " ", "{}"), ("tabs", "\t", "{}"),
+                                 ("double spaces", "  ", "{}"),
+                                 ("zero-padded", " ", "{:03d}"),
+                                 ("signed", " ", "{:+d}")):
+            lines = [f"{n} {len(rows)} {k}", " ".join(obj["weights"])]
+            lines += [sep.join(map(token.format, r)) for r in rows]
+            results[name] = outcome(
+                lambda: DTInstance.from_text("\n".join(lines) + "\n"))
+    return results
+
+
+@pytest.mark.parametrize("rows, k", list(_edge_cases()))
+def test_row_readers_match_per_entry_reference_at_edge_answers(rows, k):
+    expected = _reference_read(rows, k, len(rows[0]))
+    results = _read_all_ways(rows, k, len(rows[0]))
+    assert results == dict.fromkeys(results, expected)
+
+
+def test_single_digit_documents_read_no_token(monkeypatch):
+    """A document of one-digit answers, every document `to_text` writes at
+    K <= 9, is read without one int() per distinct token; a K=12 document
+    still reads its tokens."""
+    import splitwise.instance as instance_module
+    seen = []
+    answer_char = instance_module._answer_char
+    monkeypatch.setattr(instance_module, "_answer_char",
+                        lambda a: seen.append(a) or answer_char(a))
+    for inst in (gen_grid_adversarial(64, 8), gen_random(40, 12, 12, seed=3)):
+        back = DTInstance.from_text(inst.to_text())
+        assert back.tests == inst.tests
+        assert back._answer_masks == inst._answer_masks
+        assert bool(seen) == (inst.k > 9)
+
+
 def test_mask_weight_equals_member_sum():
     rng = random.Random(12)
     for _ in range(50):
