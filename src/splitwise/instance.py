@@ -212,10 +212,7 @@ def _answer_row(row, chars: LazyTable) -> tuple[int, ...]:
         text = "".join(map(chars.__getitem__, row))
     except TypeError:       # an unhashable answer, or one with no character
         return tuple(map(_answer, row))
-    try:
-        return tuple(text.encode("latin-1"))
-    except UnicodeEncodeError:      # an answer above 255
-        return tuple(map(ord, text))
+    return tuple(map(ord, text))
 
 
 def _row_masks(row: tuple[int, ...], k: int, valid: bytes) -> tuple[int, ...] | None:

@@ -247,15 +247,18 @@ class CostBreakdown:
 def descent(tree: DecisionTree, inst: DTInstance, h: int) -> list[NodeRecord]:
     """The records from the root down h's answers to the deepest vertex
     consistent with h (answer descent, never the cached masks).  The
-    answers are read from `inst.tests` directly: the tree's tests are tests
-    of `inst`, as every builder and document reader makes them."""
+    answers are read from `inst.tests` directly, each test id checked
+    against 1..m on the way down, so a hand-built tree naming a test the
+    instance lacks raises ParameterError rather than reading another row."""
     if not 1 <= h <= inst.n:
         raise ParameterError(f"hypothesis {h} outside 1..{inst.n}")
-    recs, rows = tree.records, inst.tests
+    recs, rows, m = tree.records, inst.tests, inst.m
     rec = recs[0]
     path = [rec]
-    while rec.test is not None:
-        answer = rows[rec.test - 1][h - 1]
+    while (test := rec.test) is not None:
+        if not 0 < test <= m:
+            raise ParameterError(f"test {test} outside 1..{m}")
+        answer = rows[test - 1][h - 1]
         for cid in rec.child_ids:
             if recs[cid].parent_answer == answer:
                 break

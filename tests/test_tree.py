@@ -124,6 +124,21 @@ def test_depth_of_single_hypothesis():
         assert depth_of(tree, inst, h) == 2
 
 
+@pytest.mark.parametrize("test", [0, -1, 3])
+def test_descent_refuses_a_test_the_instance_lacks(test):
+    # a hand-built tree whose lower test is not one of the instance's two;
+    # test 0 or -1 must not read the last row, test 3 must not IndexError
+    inst = quarter_instance()
+    left = (test, 0b0011, [(1, 0b0001), (2, 0b0010)])
+    right = (2, 0b1100, [(1, 0b0100), (2, 0b1000)])
+    tree = tree_of((1, 0b1111, [(1, left), (2, right)]))
+    with pytest.raises(ParameterError, match=rf"test {test} outside 1\.\.2"):
+        cost(tree, inst)
+    with pytest.raises(ParameterError, match=rf"test {test} outside 1\.\.2"):
+        depth_of(tree, inst, 1)
+    assert depth_of(tree, inst, 3) == 2     # the other branch is still read
+
+
 # ---------------------------------------------------------------------------
 # completeness and the interior-weight identity
 # ---------------------------------------------------------------------------
