@@ -187,27 +187,29 @@ def _answer_char(a):
     return chr(i) if 0 <= i <= sys.maxunicode else i
 
 
-# the rows that bytes() reads in one C pass when every answer is in 0..255
-_BYTE_ROWS = (list, tuple, bytes)
-
 # '0'..'9' to the answers 0..9, for the single-digit rows of `from_text`
 _DIGIT_ANSWERS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _answer_row(row, chars: LazyTable) -> tuple[int, ...]:
-    """A test row as its tuple of int answers.  A list, tuple or bytes of
-    ints in 0..255, which is every row the generators make at K <= 255 and
-    every row `from_text` cuts from a single-digit line, is read by bytes()
-    with no Python call per answer.  Any other row is joined into its
+    """A test row as its tuple of int answers.  A row that is not a list
+    is read once, into a tuple, so a one-shot iterator reads like a list;
+    a list is not copied.  Bytes, every row `from_text` cuts from a
+    single-digit line, are their answers; ints in 0..255, every row the
+    generators make at K <= 255, are read by bytes() with no Python call
+    per answer.  Any other row is joined into its
     answer text, chr(answer) per hypothesis, through `chars`, a LazyTable
     of `_answer_char`: each distinct answer or token is read by int()
     once.  A row holding an unhashable answer, or one that chr() cannot
     encode, is read one answer at a time."""
-    if type(row) in _BYTE_ROWS:
-        try:
-            return tuple(bytes(row))
-        except (TypeError, ValueError):     # a non-int, or one outside 0..255
-            pass
+    if type(row) is bytes:
+        return tuple(row)
+    if type(row) is not list:
+        row = tuple(row)
+    try:
+        return tuple(bytes(row))
+    except (TypeError, ValueError):     # a non-int, or one outside 0..255
+        pass
     try:
         text = "".join(map(chars.__getitem__, row))
     except TypeError:       # an unhashable answer, or one with no character
@@ -303,13 +305,14 @@ class DTInstance:
 
         # Each row is read into its answer tuple (`_answer_row`), and every
         # row is read before any is checked, so that a non-integer answer
-        # anywhere is named first.
+        # anywhere is named first.  int() refuses a token with ValueError
+        # and an answer such as a list with TypeError.
         chars = LazyTable(_answer_char)
         rows = []
         for j, row in enumerate(tests, start=1):
             try:
                 rows.append(_answer_row(row, chars))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ParameterError(f"test {j}: non-integer answer") from exc
         rows = tuple(rows)
         if k is None:

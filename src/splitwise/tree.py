@@ -64,7 +64,9 @@ def grow(inst: DTInstance, mask: int,
     `rule(set, ctx)` returns None for a leaf, or the set's test and the ctx
     of its parts: its nonempty answer sets, visited in preorder and answer
     order (so a rule that draws random numbers draws in a fixed order).  A
-    test that leaves the set whole raises StructureError, not a loop."""
+    test that leaves the set whole raises StructureError, not a loop.  The
+    rule is dropped before the entries are indexed, where a build's memory
+    peaks, so what it holds is freed first unless the caller keeps it."""
     entries = Entries()
     stack: list[tuple[int, int | None, int | None, Any]] = [(mask, None, None, ctx)]
     while stack:
@@ -80,6 +82,7 @@ def grow(inst: DTInstance, mask: int,
                 f"test {test} does not split a set of size {s.bit_count()}")
         idx = entries.add(test, s, parent, answer)
         stack.extend((part, idx, a, sub) for a, part in reversed(parts))
+    del rule
     return DecisionTree(entries)
 
 

@@ -3,6 +3,9 @@ identity, and minority-mass monotonicity.
 """
 
 import random
+import sys
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +29,7 @@ from splitwise import (
     structural_problems,
     tree_to_text,
 )
-from splitwise import greedy
+from splitwise import greedy, tree as tree_module
 from conftest import random_valid_instance
 
 
@@ -332,10 +335,11 @@ def test_fast_weighers_match_majority_parts():
     assert sets_seen >= 500
 
 
-def reference_greedy_tree(inst: DTInstance):
-    """The greedy tree by its definition: at every set, every test weighed in
-    full by `per_bit_majority_parts` and the argmin taken, smallest index on
-    ties; no lower-bound stop and no test context."""
+def reference_greedy_tree(inst: DTInstance, root: int | None = None):
+    """The greedy tree over `root` (all of [n] by default) by its
+    definition: at every set, every test weighed in full by
+    `per_bit_majority_parts` and the argmin taken, smallest index on ties;
+    no lower-bound stop and no test context."""
     def rule(s: int, _):
         if s.bit_count() == 1:
             return None
@@ -344,7 +348,7 @@ def reference_greedy_tree(inst: DTInstance):
             if num is not None and (best_num is None or num < best_num):
                 best_j, best_num = j, num
         return best_j, None
-    return grow(inst, inst.full_mask, rule)
+    return grow(inst, inst.full_mask if root is None else root, rule)
 
 
 def assert_same_tree(tree, ref, label):
@@ -406,6 +410,156 @@ def test_greedy_tree_matches_reference_on_edge_cases(K, exact, monkeypatch):
                          label)
     # the cases reach every branch of `_greedy_split`
     assert sorted(calls) == ["_member_weigher", "_uniform_weigher", "majority_parts"]
+
+
+def packed_cases(K: int, exact: bool):
+    """(label, instance, root) triples with roots of PACKED_ROOT_MIN or more
+    members that reach every branch of the packed route."""
+    num = (lambda x: x) if exact else float
+    rng = random.Random(70 + K + 10 * exact)
+    skew = gen_random(300, 30, K, 71 + K, profile="skew", exact=exact)
+    tiers = gen_random(300, 24, K, 72 + K, profile="two-tier", exact=exact)
+    out = [("skew", skew, None), ("two-tier", tiers, None),
+           # a subset root: codes for its members only
+           ("skew subset", skew, rng.getrandbits(300) | 1)]
+    base = gen_random(200, 24, K, 73 + K, profile="skew", exact=exact)
+    zeros = [w if i % 3 == 0 else 0 for i, w in enumerate(base.weights)]
+    out.append(("zero weights", DTInstance([num(w) for w in zeros], base.tests, K), None))
+    # odd numerators over 2**70, which exact codes shift: equal light
+    # weights tie in the codes and in full, and light weights two units
+    # (float: a few ulps) apart tie in the codes only
+    for label, noise in (("huge ties", 1), ("huge near ties", 2)):
+        huge = [Fraction((w << 50) + 1 + 2 * rng.randrange(noise), 1 << 70)
+                for w in tiers._wnum] if exact else \
+            [w * (1 + rng.randrange(noise) * 2.0 ** -50) for w in tiers.weights]
+        out.append((label, DTInstance(huge, tiers.tests, K), None))
+    # numerators of 17 to 30 bits in all: exact codes of 32-bit fields, unshifted
+    mid = [num(Fraction(2 * rng.randrange(1 << 11) + 1, 1 << 12)) for _ in range(200)]
+    out.append(("mid sums", DTInstance(mid, base.tests, K), None))
+    return out
+
+
+def _branch_counter(monkeypatch):
+    """Counts, by name, the branches the trees built under it take:
+    "unpacked", "exact sums" and "approximate" trees and those of "16-bit"
+    fields, and the packed sets that fall back to `_greedy_split`
+    ("fallback") or weigh the tests within the margin in full ("several
+    within margin")."""
+    seen = Counter()
+    state = {"packed": False, "in_split": 0}
+    packing, split, weigher = (greedy._packing, greedy._greedy_split,
+                               greedy._member_weigher)
+
+    def packing_wrapper(inst, root):
+        out = packing(inst, root)
+        state["packed"] = out is not None
+        seen["unpacked" if out is None else
+             "exact sums" if out[1] else "approximate"] += 1
+        seen["16-bit"] += out is not None and out[3] == 2
+        return out
+
+    def split_wrapper(inst, s, tests):
+        big = s.bit_count() >= greedy.PACKED_SET_MIN
+        if state["packed"] and big:
+            seen["fallback"] += 1
+        state["in_split"] += 1
+        try:
+            return split(inst, s, tests)
+        finally:
+            state["in_split"] -= 1
+
+    def weigher_wrapper(inst, s, members):
+        if state["packed"] and not state["in_split"]:
+            seen["several within margin"] += 1
+        return weigher(inst, s, members)
+
+    monkeypatch.setattr(greedy, "_packing", packing_wrapper)
+    monkeypatch.setattr(greedy, "_greedy_split", split_wrapper)
+    monkeypatch.setattr(greedy, "_member_weigher", weigher_wrapper)
+    return seen, state
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("exact", [True, False])
+def test_packed_route_matches_reference(K, exact, monkeypatch):
+    """Trees on the packed route equal the reference's, text and masks, and
+    the cases reach each of its branches."""
+    seen, state = _branch_counter(monkeypatch)
+    single = 0
+    for label, inst, root in packed_cases(K, exact):
+        assert inst.exact == exact
+        before = seen.copy()
+        tree = build_greedy_tree(inst, root)
+        assert_same_tree(tree, reference_greedy_tree(inst, root), label)
+        assert state["packed"], label
+        if seen["approximate"] > before["approximate"]:
+            # a packed set that neither fell back nor weighed several tests
+            # took the one test within the margin
+            big = sum(rec.mask.bit_count() >= greedy.PACKED_SET_MIN
+                      for rec in tree.interior_records())
+            single += big - (seen["fallback"] - before["fallback"]) - (
+                seen["several within margin"] - before["several within margin"])
+    assert single > 0
+    assert seen["fallback"] and seen["several within margin"] and seen["approximate"]
+    # exact sums in 16-bit and in 32-bit fields
+    assert seen["exact sums"] > seen["16-bit"] > 0 if exact else not seen["exact sums"]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_packed_route_takes_k_255_not_256(exact, monkeypatch):
+    seen, _ = _branch_counter(monkeypatch)
+    for K in (255, 256):
+        inst = gen_random(160, 6, K, K, profile="skew", exact=exact)
+        assert_same_tree(build_greedy_tree(inst), reference_greedy_tree(inst), K)
+    assert seen["unpacked"] == 1 and seen["exact sums"] + seen["approximate"] == 1
+    # codes of more than PACKED_FIELDS_MAX fields are not built
+    inst = gen_random(2100, 4, 255, 7, profile="skew", exact=exact)
+    assert 2100 * (4 * 254 + 1) > greedy.PACKED_FIELDS_MAX
+    assert greedy._packing(inst, inst.full_mask) is None
+    assert greedy._packing(inst, (1 << 2000) - 1) is not None
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before 3.11 a Python caller holds its call's arguments until the call "
+    "returns, so the rule outlives grow's own reference"))
+def test_grow_releases_the_rule_before_indexing(monkeypatch):
+    """`grow` drops the greedy rule, and the packed codes it holds, before
+    `DecisionTree` indexes the entries, where a build's memory peaks."""
+    refs, alive = [], []
+    greedy_rule, index = greedy._greedy_rule, tree_module.DecisionTree.__init__
+
+    def rule_wrapper(inst, root):
+        rule = greedy_rule(inst, root)
+        refs.append(weakref.ref(rule))
+        return rule
+
+    def index_wrapper(self, entries):
+        alive.append(refs[-1]() is not None)
+        index(self, entries)
+
+    monkeypatch.setattr(greedy, "_greedy_rule", rule_wrapper)
+    monkeypatch.setattr(tree_module.DecisionTree, "__init__", index_wrapper)
+    for profile in ("skew", "uniform"):      # packed and not
+        build_greedy_tree(gen_random(200, 20, 2, 5, profile=profile))
+    assert alive == [False, False]
+
+
+def test_packed_codes_live_one_root_child_at_a_time(monkeypatch):
+    """The root's sum is taken over codes that are not kept, and each child
+    of the root makes its own members' codes once: no more than a child's
+    worth of codes is made at one time."""
+    made = []
+    codes = greedy._codes
+
+    def codes_wrapper(inst, members, shift, width):
+        made.append(len(members))
+        return codes(inst, members, shift, width)
+
+    monkeypatch.setattr(greedy, "_codes", codes_wrapper)
+    inst = gen_random(300, 24, 3, 9, profile="skew", exact=False)
+    tree = build_greedy_tree(inst)
+    root_children = [tree.records[c].mask.bit_count() for c in tree.root.child_ids]
+    assert made == [300] + [c for c in root_children if c >= greedy.PACKED_SET_MIN]
 
 
 @pytest.mark.parametrize("weights", [

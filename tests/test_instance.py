@@ -149,9 +149,13 @@ EDGE_ANSWERS = (0, 1, 9, 10, 255, 256, 0xD7FF, 0xD800, 0xDFFF, 0xFFFF, 0x10000,
 
 
 def _reference_read(rows, k, n):
-    """(tests, answer masks, K) of int answer rows, or the error text, one
-    entry at a time: the rows in order, each its length and then its first
-    answer outside 1..K, then K itself."""
+    """(tests, answer masks, K) of answer rows, or the error text, one
+    entry at a time: the first row holding an answer that is not an int,
+    then the rows in order, each its length and then its first answer
+    outside 1..K, then K itself."""
+    for j, row in enumerate(rows, start=1):
+        if any(type(a) is not int for a in row):
+            return f"test {j}: non-integer answer"
     if k is None:
         k = max([2] + [a for row in rows for a in row])
     for j, row in enumerate(rows, start=1):
@@ -170,8 +174,9 @@ def _reference_read(rows, k, n):
 def _edge_cases():
     """(rows, declared K) pairs: each edge answer beside 1 and 2 under K
     absent, 10 and 300, and itself as the declared K when that is 2 or
-    more; all of them in one row; each alone, n = 1.  K = sys.maxunicode,
-    whose mask tuples are 8 MB a row, is read once."""
+    more; all of them in one row; each alone, n = 1; an unhashable answer
+    that int() refuses.  K = sys.maxunicode, whose mask tuples are 8 MB a
+    row, is read once."""
     for a in EDGE_ANSWERS:
         ks = {a} if a == sys.maxunicode else {None, 10, 300, a} - {-1, 0, 1}
         for k in ks:
@@ -182,11 +187,13 @@ def _edge_cases():
     for a in EDGE_ANSWERS:                         # one hypothesis
         for k in (9, 300, 0x10000):
             yield [[a], [1]], k
+    yield [[2, 1], [1, [2]]], None                 # int() raises TypeError
 
 
 def _read_all_ways(rows, k, n):
     """The outcome, as `_reference_read` gives it, of every reader on
-    `rows`: the constructor on lists, tuples and str tokens, the JSON
+    `rows`: the constructor on lists, tuples, one-shot iterators and str
+    tokens, the JSON
     reader, and the text reader on the document `to_text` would write and
     on tab-separated, double-spaced, zero-padded and signed tokens."""
     weights = [Fraction(1, n)] * n
@@ -203,6 +210,7 @@ def _read_all_ways(rows, k, n):
     ways = {
         "list": lambda: DTInstance(weights, [list(r) for r in rows], k),
         "tuple": lambda: DTInstance(weights, [tuple(r) for r in rows], k),
+        "iterator": lambda: DTInstance(weights, [iter(r) for r in rows], k),
         "str": lambda: DTInstance(weights, [list(map(str, r)) for r in rows], k),
     }
     results = {name: outcome(read) for name, read in ways.items()}
@@ -228,6 +236,18 @@ def test_row_readers_match_per_entry_reference_at_edge_answers(rows, k):
     expected = _reference_read(rows, k, len(rows[0]))
     results = _read_all_ways(rows, k, len(rows[0]))
     assert results == dict.fromkeys(results, expected)
+
+
+def test_one_shot_iterator_row_is_read_once():
+    """A row the byte route refuses is read again by the text route: from
+    an iterator, that second read would find it empty."""
+    weights = [Fraction(1, 2)] * 2
+    message = f"^test 1: answer {2 ** 40} above {sys.maxunicode}$"
+    for row in ([1, 2 ** 40], iter([1, 2 ** 40]), (a for a in (1, 2 ** 40))):
+        with pytest.raises(ParameterError, match=message):
+            DTInstance(weights, [row], 2 ** 41)
+    inst = DTInstance(weights, [iter([2, 300]), iter(["1", "2"])], 300)
+    assert inst.tests == ((2, 300), (1, 2))
 
 
 def test_single_digit_documents_read_no_token(monkeypatch):
