@@ -26,8 +26,7 @@ fields of 32 bits: field (answer a, test j), a in 2..K, holds x_i when
 test j gives i answer a and 0 otherwise, and the top field holds x_i.
 x_i is the raw numerator, shifted right when the root's sum needs more
 than 30 bits (exact mode), or floor(w_i * 2**Q), with Q such that the
-root's sum stays below 2**30 (float mode).  Exact sums that fit in 16 bits
-take 16-bit fields, halving the codes.  No field of a sum of member codes
+root's sum stays below 2**30 (float mode).  No field of a sum of member codes
 can carry into the next, so one C-level `sum` over a set's members gives,
 exactly, every part's sum of x in every test, and the set's own in the
 top field; answer 1's part is the set's less the others.
@@ -250,12 +249,12 @@ def _greedy_rule(inst: DTInstance, root: int):
             return None if s.bit_count() == 1 else _greedy_split(inst, s, tests)
         return rule
 
-    shift, exact_sums, zero_x, width = packing
+    shift, exact_sums, zero_x = packing
     m, wn = inst.m, inst._wnum
     every = range(1, m + 1)
     fields = m * (inst.k - 1)
-    nbytes = width * (fields + 1)
-    unpack = Struct(f"<{fields + 1}{'H' if width == 2 else 'I'}").unpack
+    nbytes = 4 * (fields + 1)
+    unpack = Struct(f"<{fields + 1}I").unpack
     blocks = [slice(t * m, t * m + m) for t in range(inst.k - 1)]
     codes = {}          # member -> code, over the root's child being grown
 
@@ -265,11 +264,11 @@ def _greedy_rule(inst: DTInstance, root: int):
         if count < PACKED_SET_MIN:
             return None if count == 1 else _greedy_split(inst, s, tests)
         if s == root:
-            code_sum = sum(_codes(inst, list(iter_bits(s)), shift, width))
+            code_sum = sum(_codes(inst, list(iter_bits(s)), shift))
         else:
             if (s & -s).bit_length() - 1 not in codes:    # a child of the root
                 members = list(iter_bits(s))
-                codes = dict(zip(members, _codes(inst, members, shift, width)))
+                codes = dict(zip(members, _codes(inst, members, shift)))
             code_sum = sum(map(codes.__getitem__, iter_bits(s)))
         f = unpack(code_sum.to_bytes(nbytes, "little"))
         total = f[fields]
@@ -299,13 +298,12 @@ def _greedy_rule(inst: DTInstance, root: int):
 
 
 def _packing(inst: DTInstance, root: int):
-    """(shift, exact_sums, zero_x, width) of the packed route over `root`,
+    """(shift, exact_sums, zero_x) of the packed route over `root`,
     or None when the route does not apply.  A member's x is its raw
     numerator shifted right by `shift` (exact mode) or its weight times
     2**shift, floored (float mode); exact_sums says no shift was needed;
     zero_x is 1 when some member's x is 0, so that a test whose largest
-    part is the whole set may still split it; codes have fields `width`
-    bytes wide."""
+    part is the whole set may still split it."""
     m, k = inst.m, inst.k
     count = root.bit_count()
     if (inst._uniform or not inst._nonnegative or k > 255
@@ -318,18 +316,18 @@ def _packing(inst: DTInstance, root: int):
     if inst.exact:
         bits = sum(map(wn.__getitem__, members)).bit_length()
         shift = max(bits - 30, 0)
-        return shift, not shift, int(not low >> shift), 2 if bits <= 16 else 4
+        return shift, not shift, int(not low >> shift)
     total = math.fsum(map(wn.__getitem__, members))
     if not total * count < math.inf:    # a float part sum could overflow
         return None
     shift = 29 - math.frexp(total)[1]
-    return shift, False, int(not int(math.ldexp(low, shift))), 4
+    return shift, False, int(not int(math.ldexp(low, shift)))
 
 
-def _codes(inst: DTInstance, members: list[int], shift: int, width: int):
+def _codes(inst: DTInstance, members: list[int], shift: int):
     """The packed codes of `members`, in order (see `_packing`).  Each
     member's indicator fields, 1 where it gives the field's answer, are laid
-    out `width * (m*(K-1) + 1)` bytes a member in a buffer written a row at
+    out 4 * (m*(K-1) + 1) bytes a member in a buffer written a row at
     a time, for _CODE_CHUNK members at once: a buffer for a whole root
     would raise the op's peak RSS."""
     m, k, wn = inst.m, inst.k, inst._wnum
@@ -341,15 +339,15 @@ def _codes(inst: DTInstance, members: list[int], shift: int, width: int):
         rows = [bytes(row) for row in inst.tests]
     else:
         rows = [bytes(map(row.__getitem__, members)) for row in inst.tests]
-    stride = width * (m * (k - 1) + 1)
+    stride = 4 * (m * (k - 1) + 1)
     ones = [bytes(b == a for b in range(256)) for a in range(2, k + 1)]
     for lo in range(0, len(members), _CODE_CHUNK):
         buf = bytearray(stride * min(_CODE_CHUNK, len(members) - lo))
-        buf[stride - width::stride] = b"\1" * (len(buf) // stride)
+        buf[stride - 4::stride] = b"\1" * (len(buf) // stride)
         for j, row in enumerate(rows):
             part = row[lo:lo + _CODE_CHUNK]
             for t, one in enumerate(ones):
-                buf[width * (t * m + j)::stride] = part.translate(one)
+                buf[4 * (t * m + j)::stride] = part.translate(one)
         for at in range(0, len(buf), stride):
             yield int.from_bytes(buf[at:at + stride], "little") * next(xs)
 

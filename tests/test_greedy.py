@@ -433,7 +433,8 @@ def packed_cases(K: int, exact: bool):
                 for w in tiers._wnum] if exact else \
             [w * (1 + rng.randrange(noise) * 2.0 ** -50) for w in tiers.weights]
         out.append((label, DTInstance(huge, tiers.tests, K), None))
-    # numerators of 17 to 30 bits in all: exact codes of 32-bit fields, unshifted
+    # a root sum of 17 to 30 bits, as at skewed-greedy's exact roots: exact
+    # codes, unshifted
     mid = [num(Fraction(2 * rng.randrange(1 << 11) + 1, 1 << 12)) for _ in range(200)]
     out.append(("mid sums", DTInstance(mid, base.tests, K), None))
     return out
@@ -441,10 +442,9 @@ def packed_cases(K: int, exact: bool):
 
 def _branch_counter(monkeypatch):
     """Counts, by name, the branches the trees built under it take:
-    "unpacked", "exact sums" and "approximate" trees and those of "16-bit"
-    fields, and the packed sets that fall back to `_greedy_split`
-    ("fallback") or weigh the tests within the margin in full ("several
-    within margin")."""
+    "unpacked", "exact sums" and "approximate" trees, and the packed sets
+    that fall back to `_greedy_split` ("fallback") or weigh the tests within
+    the margin in full ("several within margin")."""
     seen = Counter()
     state = {"packed": False, "in_split": 0}
     packing, split, weigher = (greedy._packing, greedy._greedy_split,
@@ -455,7 +455,6 @@ def _branch_counter(monkeypatch):
         state["packed"] = out is not None
         seen["unpacked" if out is None else
              "exact sums" if out[1] else "approximate"] += 1
-        seen["16-bit"] += out is not None and out[3] == 2
         return out
 
     def split_wrapper(inst, s, tests):
@@ -501,8 +500,7 @@ def test_packed_route_matches_reference(K, exact, monkeypatch):
                 seen["several within margin"] - before["several within margin"])
     assert single > 0
     assert seen["fallback"] and seen["several within margin"] and seen["approximate"]
-    # exact sums in 16-bit and in 32-bit fields
-    assert seen["exact sums"] > seen["16-bit"] > 0 if exact else not seen["exact sums"]
+    assert seen["exact sums"] if exact else not seen["exact sums"]
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -551,9 +549,9 @@ def test_packed_codes_live_one_root_child_at_a_time(monkeypatch):
     made = []
     codes = greedy._codes
 
-    def codes_wrapper(inst, members, shift, width):
+    def codes_wrapper(inst, members, shift):
         made.append(len(members))
-        return codes(inst, members, shift, width)
+        return codes(inst, members, shift)
 
     monkeypatch.setattr(greedy, "_codes", codes_wrapper)
     inst = gen_random(300, 24, 3, 9, profile="skew", exact=False)
