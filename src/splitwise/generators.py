@@ -2,9 +2,12 @@
 
 Three families:
 
-- gen_random: seeded fixture supply for the audit batteries.  Tests are
-  sampled as independent uniform answer vectors and resampled wholesale until
-  the instance is valid.
+- gen_random: seeded fixture supply for the audit batteries.  The m*n
+  answers, uniform over [K] and independent, are drawn again as a whole set
+  until the instance is valid.  At K <= 255 each attempt draws them as one
+  block of bytes (`randrange_bytes`) and cuts it into the m test rows.  The
+  draws are those of one `randrange(1, K + 1)` call per answer, so a seed's
+  instance does not depend on how its answers are drawn.
 - gen_grid_adversarial: a uniform-weight grid family.  Hypotheses sit in a
   c_star-column grid; alongside cheap column/row-bit tests there is a
   recursive family of row-membership (type-4) tests whose splits attract
@@ -46,9 +49,10 @@ def _random_weights(rng: random.Random, n: int, profile: str,
         return [Fraction(1, n)] * n if exact else [1.0 / n] * n
     if profile == "skew":
         if exact:
-            raws = [Fraction(r) for r in islice(randrange_stream(rng, 100), n)]
-        else:
-            raws = [rng.expovariate(1.0) for _ in range(n)]
+            raws = randrange_bytes(rng, 100, n)
+            total = sum(raws)
+            return [Fraction(r, total) for r in raws]
+        raws = [rng.expovariate(1.0) for _ in range(n)]
         total = left_sum(raws, 0)
         return [w / total for w in raws]
     # two-tier: one heavy hypothesis at ratio * the common light weight
@@ -61,11 +65,49 @@ def _random_weights(rng: random.Random, n: int, profile: str,
     return [heavy / total] + [1 / total if exact else 1.0 / total] * (n - 1)
 
 
-def randrange_stream(rng: random.Random, K: int) -> Iterator[int]:
-    """Endless draws of `rng.randrange(1, K + 1)`, from the same stream.
+# the most 32-bit words one `randrange_bytes` round asks getrandbits for
+_BLOCK_WORDS = 1 << 14
+# K -> (translate table, bytes to delete) of `randrange_bytes`
+_BYTE_TABLES: dict[int, tuple[bytes, bytes]] = {}
+
+
+def randrange_bytes(rng: random.Random, K: int, count: int) -> bytes:
+    """`count` draws of `rng.randrange(1, K + 1)`, K <= 255, as bytes, taken
+    from `rng` exactly as that many randrange calls would take them.
 
     randrange draws r = getrandbits(K.bit_length()) and draws again while
-    r >= K (CPython 3.11 and 3.12).  This is that loop as a chain of lazy
+    r >= K (CPython 3.10 to 3.13).  A getrandbits(k) call with k <= 32
+    takes one 32-bit word of the generator and returns it shifted right by
+    32 - k; for k <= 8 that is the word's top byte shifted right by 8 - k.
+    getrandbits(32 * c) takes c words and returns them with the first drawn
+    least significant, on either byte order, so every fourth byte of its
+    little-endian bytes, from the fourth, is the top byte of one word, in
+    the order drawn.  One `bytes.translate` deletes the bytes that
+    randrange would reject and maps the rest to their draws.  A round asks
+    for at most the draws still needed, each word giving at most one draw,
+    so nothing is drawn ahead, and `rng` ends in the state the calls leave.
+    """
+    tables = _BYTE_TABLES.get(K)
+    if tables is None:
+        shift = 8 - K.bit_length()
+        tables = _BYTE_TABLES[K] = (
+            bytes((b >> shift) + 1 if b >> shift < K else 0 for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= K))
+    table, reject = tables
+    out = b""
+    while len(out) < count:
+        c = min(count - len(out), _BLOCK_WORDS)
+        words = rng.getrandbits(32 * c).to_bytes(4 * c, "little")
+        out += words[3::4].translate(table, reject)
+    return out
+
+
+def randrange_stream(rng: random.Random, K: int) -> Iterator[int]:
+    """Endless draws of `rng.randrange(1, K + 1)`, from the same stream, for
+    K above 255, where `randrange_bytes` does not reach.
+
+    randrange draws r = getrandbits(K.bit_length()) and draws again while
+    r >= K (CPython 3.10 to 3.13).  This is that loop as a chain of lazy
     iterators: each value read takes from `rng` exactly what randrange
     would, and nothing is drawn ahead of the reader.
     """
@@ -79,7 +121,10 @@ def gen_random(n: int, m: int, K: int, seed: int, profile: str = "uniform",
 
     Weights follow the chosen profile; the m test answer vectors are uniform
     over [K]^n, resampled as a whole set until every hypothesis pair is
-    distinguished (at most MAX_ATTEMPTS tries, then GenerationError).
+    distinguished (at most MAX_ATTEMPTS tries, then GenerationError).  At
+    K <= 255 a set is drawn as one block of bytes (`randrange_bytes`), and
+    its rows are bytes, which `DTInstance` reads with no Python call per
+    answer.
     """
     if n < 1 or m < 1 or K < 2:
         raise ParameterError(f"need n >= 1, m >= 1, K >= 2; got {n},{m},{K}")
@@ -87,9 +132,13 @@ def gen_random(n: int, m: int, K: int, seed: int, profile: str = "uniform",
         raise ParameterError(f"unknown weight profile {profile!r}")
     rng = random.Random(seed)
     weights = _random_weights(rng, n, profile, ratio, exact)
-    answers = randrange_stream(rng, K)
+    answers = randrange_stream(rng, K)      # lazy: draws only when read
     for _ in range(MAX_ATTEMPTS):
-        tests = [list(islice(answers, n)) for _ in range(m)]
+        if K <= 255:        # one block of bytes, cut into m rows
+            block = randrange_bytes(rng, K, n * m)
+            tests = [block[at:at + n] for at in range(0, n * m, n)]
+        else:
+            tests = [list(islice(answers, n)) for _ in range(m)]
         inst = DTInstance(weights, tests, K)
         if validate_instance(inst).ok:
             return inst

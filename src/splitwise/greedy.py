@@ -58,7 +58,9 @@ are made.  On skewed-greedy, one set of codes kept for the whole build ran
 about 8% faster but read 0.19 MB more peak RSS than greedy without codes;
 this form reads 0.12 MB more.
 
-`_greedy_split` weighs tests in ascending order, and the first whose max
+`_greedy_split` takes, for a set of two members, the first test whose row
+tells them apart: every test that splits a pair gives the same two parts.
+Any other set's tests it weighs in ascending order, and the first whose max
 part equals a lower bound on every test's max part is chosen: it is
 optimal, and no earlier test tied it.  On a uniform set of s members the
 bound is ceil(s/K) members' weight.  On a weighted set it is the largest
@@ -126,6 +128,17 @@ def _greedy_split(inst: DTInstance, smask: int, tests) -> tuple[int, list[int]]:
     the chosen one, and every test the lower-bound stop left unweighed.
     """
     count = smask.bit_count()
+    if count == 2:
+        # every test that splits a pair parts it into the same two
+        # singletons, so whatever the weights, the first such test is the
+        # choice; with none, the weighing below raises
+        low = smask & -smask
+        a, b = low.bit_length() - 1, smask.bit_length() - 1
+        rows = inst.tests
+        for pos, j in enumerate(tests):
+            row = rows[j - 1]
+            if row[a] != row[b]:
+                return j, tests[pos + 1:]
     wn = inst._wnum
     if not inst._nonnegative:       # no lower bound holds: weigh every test
         nums = [num for _, _, num in majority_parts(inst, smask, tests)]

@@ -187,8 +187,10 @@ def _answer_char(a):
     return chr(i) if 0 <= i <= sys.maxunicode else i
 
 
-# '0'..'9' to the answers 0..9, for the single-digit rows of `from_text`
+# '0'..'9' to the answers 0..9, for the single-digit rows of `from_text`,
+# and back, for those of `to_text`
 _DIGIT_ANSWERS = bytes.maketrans(b"0123456789", bytes(range(10)))
+_ANSWER_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _answer_row(row, chars: LazyTable) -> tuple[int, ...]:
@@ -459,11 +461,23 @@ class DTInstance:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
+        """The text document: a header line, the weights line and one line
+        of answers per test.  At K <= 9 every answer is one digit, and a
+        row's line is written into one buffer of 2n - 1 bytes, its digits
+        at the even places and spaces at the odd, as `from_text` reads it."""
         lines = [f"{self.n} {self.m} {self.k}"]
         lines.append(" ".join(format_number(w) for w in self.weights))
-        names = LazyTable(str)
-        lines += [" ".join(map(names.__getitem__, row)) for row in self.tests]
-        return "\n".join(lines) + "\n"
+        if self.k <= 9:
+            line = bytearray(2 * self.n - 1)
+            line[1::2] = b" " * (self.n - 1)
+            for row in self.tests:
+                line[0::2] = bytes(row).translate(_ANSWER_DIGITS)
+                lines.append(line.decode())
+        else:
+            names = LazyTable(str)
+            lines += [" ".join(map(names.__getitem__, row)) for row in self.tests]
+        lines.append("")        # the closing newline, with no copy of the text
+        return "\n".join(lines)
 
     @classmethod
     def from_text(cls, text: str, *, exact: bool = True) -> "DTInstance":

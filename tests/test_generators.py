@@ -27,7 +27,9 @@ from splitwise import (
     structural_problems,
     validate_instance,
 )
-from splitwise.generators import _good_sets, randrange_stream
+from splitwise.cli import main
+from splitwise.generators import (MAX_ATTEMPTS, _good_sets, randrange_bytes,
+                                  randrange_stream)
 
 
 # ----------------------------------------------------------------------------
@@ -51,6 +53,75 @@ def test_randrange_stream_follows_randrange(K):
             assert list(islice(stream, count)) == \
                 [ref.randrange(1, K + 1) for _ in range(count)], (seed, count)
             assert rng.getstate() == ref.getstate(), (seed, count)
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 8, 100, 255])
+def test_randrange_bytes_follows_randrange(K):
+    # 20000 draws take more than one round of 2**14 words
+    for seed in range(2):
+        for count in (1, 7, 500, 20000):
+            rng, ref = random.Random(seed), random.Random(seed)
+            rng.random(), ref.random()      # a state away from the seed's
+            got = randrange_bytes(rng, K, count)
+            assert type(got) is bytes
+            assert list(got) == \
+                [ref.randrange(1, K + 1) for _ in range(count)], (seed, count)
+            assert rng.getstate() == ref.getstate(), (seed, count)
+
+
+def reference_gen_random(n, m, K, seed, profile):
+    """`gen_random` as written when every answer was drawn by its own
+    randrange call: (weights, rows, attempts taken)."""
+    rng = random.Random(seed)
+    if profile == "skew":
+        raws = [Fraction(rng.randrange(1, 101)) for _ in range(n)]
+        total = sum(raws)
+        weights = [w / total for w in raws]
+    else:
+        weights = [Fraction(1, n)] * n
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        rows = [tuple(rng.randrange(1, K + 1) for _ in range(n))
+                for _ in range(m)]
+        if validate_instance(DTInstance(weights, rows, K)).ok:
+            return weights, rows, attempt
+    raise AssertionError("no valid instance")
+
+
+@pytest.mark.parametrize("n, m, K, seed, profile, redrawn", [
+    (50, 10, 3, 1, "skew", False),          # 500 answers, one round
+    (1000, 24, 2, 2, "skew", False),        # 24000 answers, two rounds
+    (2100, 9, 255, 3, "uniform", False),
+    (12, 7, 2, 7, "uniform", True),         # attempts drawn again
+    (10, 4, 3, 5, "skew", True),
+    (40, 8, 256, 5, "skew", False),         # the stream route
+    (30, 2, 300, 6, "uniform", False),
+])
+def test_gen_random_matches_per_answer_reference(n, m, K, seed, profile, redrawn):
+    weights, rows, attempts = reference_gen_random(n, m, K, seed, profile)
+    assert (attempts > 1) == redrawn
+    inst = gen_random(n, m, K, seed, profile=profile)
+    assert inst.weights == tuple(weights)
+    assert inst.tests == tuple(rows)
+
+
+# sha256 of `gen random --profile skew --n 4000 --m 40 --seed 1 --k K` as
+# written when every answer was drawn by its own randrange call
+PINNED_SKEW_4000 = {
+    (2, "exact"): "51f1e2b25122847cfbf7c1fc968bc430ff4668b3f9db4b79e6a461dd54164661",
+    (2, "float"): "58ba95321d973a340dc93970f64d7057b21834a0af2b4f5dcdf3c83f05e7196f",
+    (3, "exact"): "2727da5209b5e7434a259066b3b5277931dfb8fcd0fd52b82f0e6daf732aff2e",
+    (3, "float"): "c730f098268395a11c029f9893951350fe29ef034dda952938b5d1cbc0234806",
+}
+
+
+@pytest.mark.parametrize("K, mode", sorted(PINNED_SKEW_4000))
+def test_gen_random_skew_document_is_pinned(K, mode, tmp_path):
+    out = tmp_path / "skew.txt"
+    argv = ["gen", "random", "--profile", "skew", "--n", "4000", "--m", "40",
+            "--k", str(K), "--seed", "1", "--out", str(out)]
+    assert main(argv + (["--float"] if mode == "float" else [])) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        PINNED_SKEW_4000[K, mode]
 
 
 def test_gen_random_output_is_pinned():

@@ -560,6 +560,59 @@ def test_packed_codes_live_one_root_child_at_a_time(monkeypatch):
     assert made == [300] + [c for c in root_children if c >= greedy.PACKED_SET_MIN]
 
 
+def pair_cases(exact: bool):
+    """(label, instance) pairs over 96 hypotheses whose greedy trees end in
+    many two-member sets: four random tests and one that parts every pair
+    come first, then six that cut [96] into the pairs {2i+1, 2i+2}, so each
+    pair is left to the first of the five that tells its members apart."""
+    num = (lambda x: x) if exact else float
+    rng = random.Random(80 + exact)
+    n = 96
+    noise = [tuple(rng.randrange(1, 3) for _ in range(n)) for _ in range(4)]
+    noise.append(tuple(h % 2 + 1 for h in range(n)))
+    bits = [tuple((h >> 1 >> d & 1) + 1 for h in range(n)) for d in range(6)]
+    tests = noise + bits
+    raws = [Fraction(rng.randrange(1, 100)) for _ in range(n)]
+    total = sum(raws)
+    skew = [w / total for w in raws]
+    weights = {
+        "uniform": [Fraction(1, n)] * n,
+        "skew": skew,
+        "zero": [w if i % 3 == 0 else 0 for i, w in enumerate(skew)],
+        "negative": [w - Fraction(1, 150) for w in skew],
+        "two-tier": [Fraction(8, n + 7)] + [Fraction(1, n + 7)] * (n - 1),
+    }
+    return [(label, DTInstance([num(w) for w in ws], tests, 2))
+            for label, ws in weights.items()]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_pairs_take_the_first_test_that_tells_them_apart(exact, monkeypatch):
+    weighed = []
+    for name in ("majority_parts", "_uniform_weigher", "_member_weigher"):
+        inner = getattr(greedy, name)
+        monkeypatch.setattr(greedy, name, lambda inst, smask, *rest, inner=inner:
+                            weighed.append(smask.bit_count()) or
+                            inner(inst, smask, *rest))
+    for label, inst in pair_cases(exact):
+        tree = build_greedy_tree(inst)
+        assert_same_tree(tree, reference_greedy_tree(inst), label)
+        pairs = [rec for rec in tree.records if rec.mask.bit_count() == 2]
+        assert len(pairs) >= 20, label
+        # every pair of the first 24 hypotheses, as its own root
+        for g in range(1, 25):
+            for h in range(g + 1, 25):
+                smask = 1 << g - 1 | 1 << h - 1
+                best_j, best_num = 0, None
+                for j, (_, _, num) in enumerate(per_bit_majority_parts(inst, smask),
+                                                start=1):
+                    if num is not None and (best_num is None or num < best_num):
+                        best_j, best_num = j, num
+                assert greedy_choice(inst, smask) == best_j, (label, g, h)
+    # no weigher is made for a pair
+    assert weighed and 2 not in weighed
+
+
 @pytest.mark.parametrize("weights", [
     [Fraction(1, 3)] * 3,
     [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],

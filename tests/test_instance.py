@@ -305,10 +305,16 @@ def _random_instance(n, m, K, exact=True):
     lambda: gen_grid_adversarial(256, 8),
     lambda: gen_random(300, 12, 3, seed=7, profile="skew"),
     lambda: gen_random(300, 12, 3, seed=7, profile="skew", exact=False),
-], ids=["K2", "K3-float", "K300", "grid256", "skew-K3-exact", "skew-K3-float"])
+    lambda: _random_instance(40, 6, 9),
+    lambda: _random_instance(40, 6, 10),
+    lambda: DTInstance([Fraction(1)], [(1,), (2,)], 2),
+    lambda: DTInstance([1.0], [(12,), (3,)], 12),
+], ids=["K2", "K3-float", "K300", "grid256", "skew-K3-exact", "skew-K3-float",
+        "K9", "K10", "n1-K2", "n1-K12"])
 def test_text_form_is_pinned_and_round_trips(make):
     """The text form is the header, the weights and one line of decimal
-    answers per test; reading it back writes the same bytes."""
+    answers per test, whether its rows are written digit by digit (K <= 9)
+    or token by token; reading it back writes the same bytes."""
     inst = make()
     text = inst.to_text()
     lines = [f"{inst.n} {inst.m} {inst.k}",
@@ -319,6 +325,20 @@ def test_text_form_is_pinned_and_round_trips(make):
     assert back.to_text() == text
     assert back.tests == inst.tests
     assert back._answer_masks == inst._answer_masks
+
+
+def test_to_text_holds_about_two_copies_of_the_document():
+    """`to_text` keeps its lines and the joined document, and no third copy
+    for the closing newline."""
+    inst = _random_instance(2000, 50, 2)
+    tracemalloc.start()
+    try:
+        text = inst.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 52 and text.endswith("\n")
+    assert peak < 2.5 * len(text)
 
 
 def test_parse_memory_follows_the_rows_not_k():
