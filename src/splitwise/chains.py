@@ -324,7 +324,7 @@ def heavy_cover_instance(inst: DTInstance, tree: DecisionTree, top_id: int,
         raise ParameterError(f"empty cover universe for hypothesis {h}")
     sets = []
     for j in range(1, inst.m + 1):
-        h_class = inst.answer_masks(j)[inst.answer_of(j, h) - 1]
+        h_class = inst.answer_mask(j, inst.answer_of(j, h))
         sets.append([i + 1 for i in iter_bits(umask & ~h_class)])
     return MsscInstance([i + 1 for i in iter_bits(umask)],
                         [inst.weights[i] for i in iter_bits(umask)], sets)

@@ -212,15 +212,15 @@ def _member_weigher(inst: DTInstance, smask: int, members: list[int]):
     rows = inst.tests
     wn = inst._wnum
     zero = 0 if inst.exact else 0.0
-    width = inst.k + 1          # by answer; 0 unused
 
     def weigh(j):
-        for am in answer_masks[j - 1]:
+        masks = answer_masks[j - 1]
+        for am in masks:
             if pm := smask & am:
                 if pm == smask:
                     return None
                 break
-        nums = [zero] * width
+        nums = [zero] * (len(masks) + 1)    # by answer, up to the row's largest
         row = rows[j - 1]
         for i in members:
             nums[row[i]] += wn[i]

@@ -155,21 +155,6 @@ def members_of(mask: int) -> tuple[int, ...]:
 SetLike = Union[int, Iterable[int], None]
 
 
-class LazyTable(dict):
-    """A dict that fills a missing key with `make(key)` on its first lookup,
-    so it holds only the keys looked up: a table sized by what is read, not
-    by the largest value that could be."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
-
-
 def _answer(a) -> int:
     """int(a) for one answer, given as a number or a token.  int() refuses
     a non-integer token; a number that int() would truncate (2.7) is
@@ -180,30 +165,22 @@ def _answer(a) -> int:
     return i
 
 
-def _answer_char(a):
-    """chr of one answer, or the answer as an int when chr() has no
-    character for it (below 0 or above sys.maxunicode)."""
-    i = _answer(a)
-    return chr(i) if 0 <= i <= sys.maxunicode else i
-
-
 # '0'..'9' to the answers 0..9, for the single-digit rows of `from_text`,
 # and back, for those of `to_text`
 _DIGIT_ANSWERS = bytes.maketrans(b"0123456789", bytes(range(10)))
 _ANSWER_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# the answers a byte can hold; a prefix is the range check of `_row_masks`
+_ANSWER_BYTES = bytes(range(1, 256))
 
 
-def _answer_row(row, chars: LazyTable) -> tuple[int, ...]:
+def _answer_row(row) -> tuple[int, ...]:
     """A test row as its tuple of int answers.  A row that is not a list
-    is read once, into a tuple, so a one-shot iterator reads like a list;
-    a list is not copied.  Bytes, every row `from_text` cuts from a
-    single-digit line, are their answers; ints in 0..255, every row the
-    generators make at K <= 255, are read by bytes() with no Python call
-    per answer.  Any other row is joined into its
-    answer text, chr(answer) per hypothesis, through `chars`, a LazyTable
-    of `_answer_char`: each distinct answer or token is read by int()
-    once.  A row holding an unhashable answer, or one that chr() cannot
-    encode, is read one answer at a time."""
+    is read once, into a tuple, so a one-shot iterator reads like a list.
+    Bytes, every row `from_text` cuts from a single-digit line, are their
+    answers; ints in 0..255, every row the generators make at K <= 255,
+    are read by bytes() with no Python call per answer.  Any other row,
+    tokens or answers outside 0..255, is read by `_answer`, one call per
+    answer."""
     if type(row) is bytes:
         return tuple(row)
     if type(row) is not list:
@@ -211,53 +188,41 @@ def _answer_row(row, chars: LazyTable) -> tuple[int, ...]:
     try:
         return tuple(bytes(row))
     except (TypeError, ValueError):     # a non-int, or one outside 0..255
-        pass
-    try:
-        text = "".join(map(chars.__getitem__, row))
-    except TypeError:       # an unhashable answer, or one with no character
         return tuple(map(_answer, row))
-    return tuple(map(ord, text))
 
 
-def _row_masks(row: tuple[int, ...], k: int, valid: bytes) -> tuple[int, ...] | None:
-    """The answer masks of a row, indexed by answer-1, or None when an
-    answer lies outside 1..k.  The answer-a mask is the row's answers, last
-    hypothesis first, translated by a table of '1' at index a and '0' at
-    every other, and read in base 2; it is 0 when a is absent.  Leading
-    zeros are stripped first, since int() sizes its result by the length
-    of the string.
+def _row_masks(row: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+    """The answer masks of a row, indexed by answer-1 and ending at its
+    largest answer, or None when an answer lies outside 1..k or above
+    sys.maxunicode.  The mask of an answer the row lacks is 0.
 
     A row of answers in 0..255, every row at K <= 255, is read as bytes,
-    each step one C pass: deleting `valid`, the bytes 1..min(k, 255),
-    leaves nothing when every answer is in range, and its masks run to
-    min(k, 255).  No set of its answers is built: a throwaway set per row
-    cost exact-search about 0.12 MB of peak RSS.  Any other row is read as
-    text (`_text_row_masks`)."""
+    each step one C pass: deleting the bytes 1..min(k, 255) leaves nothing
+    when every answer is in range, and the answer-a mask is the row, last
+    hypothesis first, translated by a table of '1' at index a and '0' at
+    every other, and read in base 2.  Leading zeros are stripped first,
+    since int() sizes its result by the length of the string.  No set of
+    its answers is built: a throwaway set per row cost exact-search about
+    0.12 MB of peak RSS.  Any other row sets each hypothesis's bit in its
+    answer's mask in one pass."""
     try:
         backward = bytes(row)[::-1]
     except ValueError:                      # an answer outside 0..255
-        return _text_row_masks(row, k)
-    if backward.translate(None, valid):
+        hi = max(row)
+        if min(row) < 1 or hi > min(k, sys.maxunicode):
+            return None
+        masks = [0] * hi
+        for i, a in enumerate(row):
+            masks[a - 1] |= 1 << i
+        return tuple(masks)
+    top = max(min(k, 255), 0)
+    if backward.translate(None, _ANSWER_BYTES[:top]):
         return None
+    hi = top
+    while hi not in backward:               # some answer lies in 1..top
+        hi -= 1
     return tuple(int(backward.translate(b"0" * a + b"1" + b"0" * (255 - a)).lstrip(b"0"), 2)
-                 if a in backward else 0 for a in range(1, len(valid) + 1))
-
-
-def _text_row_masks(row: tuple[int, ...], k: int) -> tuple[int, ...] | None:
-    """`_row_masks` of a row with an answer outside 0..255, from its text,
-    chr(answer) per hypothesis: masks up to its largest answer, made for
-    the set of its answers."""
-    try:
-        backward = "".join(map(chr, reversed(row)))
-    except (ValueError, OverflowError):     # an answer chr() cannot encode
-        return None
-    hi = ord(max(backward))
-    if hi > k or "\0" in backward:
-        return None
-    masks = [0] * hi
-    for a in map(ord, set(backward)):
-        masks[a - 1] = int(backward.translate(b"0" * a + b"1" + b"0" * (hi - a)).lstrip("0"), 2)
-    return tuple(masks)
+                 if a in backward else 0 for a in range(1, hi + 1))
 
 
 def coerce_weights(
@@ -309,11 +274,10 @@ class DTInstance:
         # row is read before any is checked, so that a non-integer answer
         # anywhere is named first.  int() refuses a token with ValueError
         # and an answer such as a list with TypeError.
-        chars = LazyTable(_answer_char)
         rows = []
         for j, row in enumerate(tests, start=1):
             try:
-                rows.append(_answer_row(row, chars))
+                rows.append(_answer_row(row))
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"test {j}: non-integer answer") from exc
         rows = tuple(rows)
@@ -323,25 +287,21 @@ class DTInstance:
         k = int(k)
 
         # The checks and the masks (`_row_masks`) come in a second pass,
-        # from the tuples: keeping a second copy of each row until here,
-        # its answer text, cost grid-scale 5.7 MB of peak RSS, and making
-        # the masks as the rows are read cost exact-search about 0.25 MB.
-        # The K-long mask tuples are made once every row has passed.
-        valid = bytes(range(1, min(k, 255) + 1))
-        row_masks = []
+        # from the tuples: making the masks as the rows are read cost
+        # exact-search about 0.25 MB of peak RSS.
+        amasks = []
         for j, row in enumerate(rows, start=1):
             if len(row) != n:
                 raise ParameterError(f"test {j} has {len(row)} answers, expected {n}")
-            masks = _row_masks(row, k, valid)
+            masks = _row_masks(row, k)
             if masks is None:
                 a = next((a for a in row if not 1 <= a <= k), None)
-                if a is None:
+                if a is None:   # bounds the length of the row's mask tuple
                     raise ParameterError(f"test {j}: answer {max(row)} above {sys.maxunicode}")
                 raise ParameterError(f"test {j}: answer {a} outside 1..{k}")
-            row_masks.append(masks)
-        if k > sys.maxunicode:      # above any answer a row may hold
+            amasks.append(masks)
+        if k > sys.maxunicode:  # bounds the tables sized by K: exact's Huffman padding
             raise ParameterError(f"K={k} above {sys.maxunicode}")
-        amasks = [masks + (0,) * (k - len(masks)) for masks in row_masks]
 
         self.n = n
         self.m = len(rows)
@@ -444,10 +404,17 @@ class DTInstance:
         return self.tests[j - 1]
 
     def answer_masks(self, j: int) -> tuple[int, ...]:
-        """Full-universe preimage masks of test j, indexed by answer-1."""
+        """Full-universe preimage masks of test j, indexed by answer-1 and
+        ending at the row's largest answer, which may be below K."""
         if not 1 <= j <= self.m:
             raise ParameterError(f"test {j} outside 1..{self.m}")
         return self._answer_masks[j - 1]
+
+    def answer_mask(self, j: int, a: int) -> int:
+        """The hypotheses that give test j the answer a; 0 for an answer
+        the row never gives."""
+        masks = self.answer_masks(j)
+        return masks[a - 1] if 1 <= a <= len(masks) else 0
 
     def split(self, mask: int, j: int) -> list[tuple[int, int]]:
         """The nonempty parts of `mask` under test j: (answer, part mask)
@@ -474,8 +441,7 @@ class DTInstance:
                 line[0::2] = bytes(row).translate(_ANSWER_DIGITS)
                 lines.append(line.decode())
         else:
-            names = LazyTable(str)
-            lines += [" ".join(map(names.__getitem__, row)) for row in self.tests]
+            lines += [" ".join(map(str, row)) for row in self.tests]
         lines.append("")        # the closing newline, with no copy of the text
         return "\n".join(lines)
 

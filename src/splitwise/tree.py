@@ -187,7 +187,7 @@ def recompute_masks(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> 
             masks[rec.id] = root_mask
         else:
             parent_mask = masks[rec.parent_id]
-            pre = inst.answer_masks(tree.records[rec.parent_id].test)[rec.parent_answer - 1]
+            pre = inst.answer_mask(tree.records[rec.parent_id].test, rec.parent_answer)
             masks[rec.id] = parent_mask & pre
     return masks
 
@@ -222,7 +222,7 @@ def structural_problems(tree: DecisionTree, inst: DTInstance) -> list[str]:
             if answer in seen:
                 problems.append(f"node {rec.id}: duplicate child answer {answer}")
             seen.add(answer)
-            expected = rec.mask & inst.answer_masks(rec.test)[answer - 1]
+            expected = rec.mask & inst.answer_mask(rec.test, answer)
             if child.mask != expected:
                 problems.append(f"node {rec.id}: child mask mismatch on answer {answer}")
             if union & child.mask:
@@ -370,7 +370,7 @@ def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionT
             if taken[parent] >> answer & 1:
                 raise FormatError(f"two children on answer {answer} of test {ptest}")
             taken[parent] |= 1 << answer
-            mask = masks[parent] & inst.answer_masks(ptest)[answer - 1]
+            mask = masks[parent] & inst.answer_mask(ptest, answer)
             if mask == 0:
                 raise StructureError(
                     f"serialized tree inconsistent with instance: empty set under "

@@ -4,6 +4,7 @@ identity, and minority-mass monotonicity.
 
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -361,6 +362,24 @@ def assert_same_tree(tree, ref, label):
 def test_greedy_tree_matches_per_bit_scan_on_skew(K, exact):
     inst = gen_random(600, 28, K, 42 + K, profile="skew", exact=exact)
     assert_same_tree(build_greedy_tree(inst), reference_greedy_tree(inst), "skew")
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_member_weigher_sums_by_the_test_not_by_k(exact):
+    """The part sums of a weighed test run to its row's largest answer, so a
+    declared K far above the answers changes neither the tree nor greedy's
+    memory: sums sized by K took 8 MB a test at K = 10^6."""
+    inst = gen_random(100, 30, 2, 5, profile="skew", exact=exact)
+    wide = DTInstance(inst.weights, inst.tests, 10 ** 5)
+    assert_same_tree(build_greedy_tree(wide), build_greedy_tree(inst), "K=10^5")
+    widest = DTInstance(inst.weights, inst.tests, 10 ** 6)
+    tracemalloc.start()
+    try:
+        build_greedy_tree(widest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6
 
 
 def greedy_edge_cases(K: int, exact: bool):

@@ -77,7 +77,7 @@ def test_answer_masks_partition_everything():
         inst = DTInstance(weights, tests, K)
         for j in range(1, m + 1):
             masks = inst.answer_masks(j)
-            assert len(masks) == K
+            assert len(masks) == max(inst.test_row(j))
             union = 0
             for a, am in enumerate(masks, start=1):
                 assert union & am == 0, f"instance {idx}: answers of test {j} overlap"
@@ -86,18 +86,26 @@ def test_answer_masks_partition_everything():
                     if am >> (h - 1) & 1:
                         assert inst.answer_of(j, h) == a
             assert union == inst.full_mask
+            assert [inst.answer_mask(j, a) for a in range(1, K + 1)] == \
+                list(masks) + [0] * (K - len(masks))
 
 
-def _reference_masks(rows, k):
-    """Answer masks one entry at a time: bit i of mask a-1 is set when
-    hypothesis i+1 answers a."""
+def _reference_masks(rows):
+    """Answer masks one entry at a time, each row's ending at its largest
+    answer: bit i of mask a-1 is set when hypothesis i+1 answers a."""
     out = []
     for row in rows:
-        per = [0] * k
+        per = [0] * max(row)
         for i, a in enumerate(row):
             per[a - 1] |= 1 << i
         out.append(tuple(per))
     return tuple(out)
+
+
+def _reference_mask(row, a):
+    """The mask of answer a in `row`, one entry at a time: 0 for an answer
+    the row never gives."""
+    return sum(1 << i for i, b in enumerate(row) if b == a)
 
 
 @pytest.mark.parametrize("K", [2, 3, 300, 5000])
@@ -115,7 +123,11 @@ def test_rows_and_answer_masks_match_per_entry_reference(K):
         inst = DTInstance([Fraction(1, n)] * n, given, K)
         assert inst.tests == tuple(tuple(row) for row in rows)
         assert all(type(a) is int for row in inst.tests for a in row)
-        assert inst._answer_masks == _reference_masks(rows, K)
+        reference = _reference_masks(rows)
+        assert inst._answer_masks == reference
+        for j, masks in enumerate(reference, start=1):
+            assert [inst.answer_mask(j, a) for a in range(1, K + 1)] == \
+                list(masks) + [0] * (K - len(masks))
         assert DTInstance([Fraction(1, n)] * n, rows).k == max(2, max(map(max, rows)))
 
 
@@ -134,9 +146,16 @@ def test_out_of_range_answer_named_in_error(row, k, first_bad):
         DTInstance([Fraction(1, 3)] * 3, [(1, 2, 1), row], k)
 
 
+@pytest.mark.parametrize("k", [0, -1, -300])
+def test_declared_k_below_one_refuses_every_answer(k):
+    for row in ([1, 2], [1, 300]):
+        with pytest.raises(ParameterError, match=rf"^test 1: answer 1 outside 1\.\.{k}$"):
+            DTInstance([Fraction(1, 2)] * 2, [row], k)
+
+
 def test_answer_beyond_unicode_refused():
-    """Answers are held as characters, so one above sys.maxunicode is refused
-    even under a larger K."""
+    """A row's mask tuple runs to its largest answer, so one above
+    sys.maxunicode is refused even under a larger K."""
     big = sys.maxunicode + 1
     with pytest.raises(ParameterError, match=rf"^test 1: answer {big} above {sys.maxunicode}$"):
         DTInstance([Fraction(1, 2)] * 2, [[1, big]], big)
@@ -168,7 +187,7 @@ def _reference_read(rows, k, n):
             return f"test {j}: answer {max(row)} above {sys.maxunicode}"
     if k > sys.maxunicode:
         return f"K={k} above {sys.maxunicode}"
-    return tuple(map(tuple, rows)), _reference_masks(rows, k), k
+    return tuple(map(tuple, rows)), _reference_masks(rows), k
 
 
 def _edge_cases():
@@ -195,7 +214,9 @@ def _read_all_ways(rows, k, n):
     `rows`: the constructor on lists, tuples, one-shot iterators and str
     tokens, the JSON
     reader, and the text reader on the document `to_text` would write and
-    on tab-separated, double-spaced, zero-padded and signed tokens."""
+    on tab-separated, double-spaced, zero-padded and signed tokens.  The
+    masks of a read instance also hold through `answer_mask` at every
+    answer its rows give, at the edge answers and at either side of K."""
     weights = [Fraction(1, n)] * n
 
     def outcome(read, prefix=""):
@@ -205,6 +226,9 @@ def _read_all_ways(rows, k, n):
             assert str(exc).startswith(prefix)
             return str(exc)[len(prefix):]
         assert all(type(a) is int for row in inst.tests for a in row)
+        for j, row in enumerate(rows, start=1):
+            for a in {0, 1, 2, 3, inst.k - 1, inst.k, inst.k + 1, *EDGE_ANSWERS, *row}:
+                assert inst.answer_mask(j, a) == _reference_mask(row, a), (j, a)
         return inst.tests, inst._answer_masks, inst.k
 
     ways = {
@@ -239,7 +263,7 @@ def test_row_readers_match_per_entry_reference_at_edge_answers(rows, k):
 
 
 def test_one_shot_iterator_row_is_read_once():
-    """A row the byte route refuses is read again by the text route: from
+    """A row the byte route refuses is read again, answer by answer: from
     an iterator, that second read would find it empty."""
     weights = [Fraction(1, 2)] * 2
     message = f"^test 1: answer {2 ** 40} above {sys.maxunicode}$"
@@ -252,13 +276,13 @@ def test_one_shot_iterator_row_is_read_once():
 
 def test_single_digit_documents_read_no_token(monkeypatch):
     """A document of one-digit answers, every document `to_text` writes at
-    K <= 9, is read without one int() per distinct token; a K=12 document
-    still reads its tokens."""
+    K <= 9, is read without one int() per token; a K=12 document still
+    reads its tokens."""
     import splitwise.instance as instance_module
     seen = []
-    answer_char = instance_module._answer_char
-    monkeypatch.setattr(instance_module, "_answer_char",
-                        lambda a: seen.append(a) or answer_char(a))
+    answer = instance_module._answer
+    monkeypatch.setattr(instance_module, "_answer",
+                        lambda a: seen.append(a) or answer(a))
     for inst in (gen_grid_adversarial(64, 8), gen_random(40, 12, 12, seed=3)):
         back = DTInstance.from_text(inst.to_text())
         assert back.tests == inst.tests
@@ -342,25 +366,30 @@ def test_to_text_holds_about_two_copies_of_the_document():
 
 
 def test_parse_memory_follows_the_rows_not_k():
-    """The answer tables hold what the rows hold: one answer row under
-    K = 10^6 costs its K-long mask tuple and the zeros it is padded with
-    (8 MB each), not a table of size K (211 MB once)."""
-    text = "2 1 1000000\n1/2 1/2\n1 2\n"
-    tracemalloc.start()
-    try:
-        inst = DTInstance.from_text(text)
-        written = inst.to_text()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert written == text
-    assert inst.answer_masks(1)[:3] == (0b01, 0b10, 0)
-    assert peak < 24 * 10 ** 6
+    """The answer tables hold what the rows hold: a row's mask tuple ends
+    at its largest answer, so rows of answers 1 and 2 cost a few bytes
+    under any K, where masks padded to K cost 8 MB a row (the 36-byte
+    document under K = sys.maxunicode peaked at 44.6 MB)."""
+    for text in ("2 1 1000000\n1/2 1/2\n1 2\n",
+                 "2 4 1114111\n1/2 1/2\n1 2\n2 1\n1 2\n2 1\n"):
+        tracemalloc.start()
+        try:
+            inst = DTInstance.from_text(text)
+            written = inst.to_text()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written == text
+        assert inst.answer_masks(1) == (0b01, 0b10)
+        rng = random.Random(inst.k)
+        for a in [3, 4, inst.k - 1, inst.k] + rng.sample(range(3, inst.k + 1), 200):
+            assert inst.answer_mask(1, a) == 0
+        assert peak < 10 ** 6, (text, peak)
 
 
 def test_declared_k_above_the_largest_answer_is_refused():
-    """A K no answer row may reach is refused before the answer masks are
-    padded to it, by the constructor and, as FormatError, by both readers."""
+    """A K above any answer a row may hold is refused, by the constructor
+    and, as FormatError, by both readers."""
     big = sys.maxunicode + 1
     with pytest.raises(ParameterError, match=f"K={big} above"):
         DTInstance([Fraction(1, 2)] * 2, [[1, 2]], k=big)

@@ -205,6 +205,24 @@ def test_recompute_masks_pinpoints_corruption():
     assert all(rec.mask == clean[rec.id] for rec in tree.records)
 
 
+def test_answers_a_row_lacks_look_up_the_empty_set():
+    """Under a declared K above every answer, a row's masks end at its
+    largest answer; an answer in between that no hypothesis gives looks up
+    the empty set at every lookup site, with no IndexError."""
+    inst = DTInstance([Fraction(1, 4)] * 4, [(1, 1, 2, 2), (1, 2, 1, 2)], 5)
+    assert inst.answer_masks(1) == (0b0011, 0b1100)
+    with pytest.raises(StructureError, match="empty set under test 1 answer 4"):
+        tree_from_text("0 0 test 1 -\n1 1 leaf 1\n2 1 leaf 2\n3 1 leaf 4\n", inst)
+    doc = {"test": 1, "children": [[1, {"leaf": True}], [2, {"leaf": True}],
+                                   [4, {"leaf": True}]]}
+    with pytest.raises(StructureError, match="empty set under test 1 answer 4"):
+        tree_from_json_obj(doc, inst)
+    # hand-built entries: the answer-2 part filed under answer 4
+    tree = tree_of((1, 0b1111, [(1, 0b0011), (4, 0b1100)]))
+    assert structural_problems(tree, inst) == ["node 0: child mask mismatch on answer 4"]
+    assert recompute_masks(tree, inst) == {0: 0b1111, 1: 0b0011, 2: 0}
+
+
 def test_interior_requires_children():
     entries = Entries()
     entries.add(1, 0b11, None, None)
