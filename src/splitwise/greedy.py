@@ -17,9 +17,12 @@ root of PACKED_ROOT_MIN or more members, on an instance with non-uniform,
 non-negative, finite weights and K <= 255, weighs its sets of
 PACKED_SET_MIN or more members on the packed route; every other set is
 weighed by `_greedy_split`.  Below about 128 root members the codes cost
-more to build than the route saves, and below about 6 members a set's
-lower-bound stop (below) fires after a test or two; both values were
-measured on skew and two-tier trees.
+more to build than the route saves (measured on skew and two-tier trees).
+Below 6 members `_greedy_split`'s lower-bound stop (below) does not fire
+early: on the four skewed-greedy trees of perfbench seed 1 (32 to 47
+tests each) it weighs, per set of 3, 4 and 5 members, 12.2, 19.0 and 21.7
+tests at K=2 and 2.9, 14.8 and 24.1 at K=3.  Yet packing those sets too,
+with a PACKED_SET_MIN of 3, built the same trees no faster.
 
 The packed route.  Each root member i has one int code of m*(K-1) + 1
 fields of 32 bits: field (answer a, test j), a in 2..K, holds x_i when
@@ -56,7 +59,14 @@ it, in place of the previous child's.  `grow` drops the rule before it
 indexes the tree, so the last codes are gone before the tree's records
 are made.  On skewed-greedy, one set of codes kept for the whole build ran
 about 8% faster but read 0.19 MB more peak RSS than greedy without codes;
-this form reads 0.12 MB more.
+this form reads 0.12 MB more.  A packed set's member list is made once, at
+the root, and carried down: when the rule picks a set's test it cuts the
+set's list by that test's answers, a C-level pass per answer, and files
+each part of PACKED_SET_MIN or more members in `pending` under its lowest
+member, where the part pops it; only a set found in no list, the root,
+walks the bits of its mask.  `grow` visits a set's parts before any other
+set, so `pending` holds only the parts on the walk's frontier, disjoint
+sets of at most the root's members in all, and it ends empty.
 
 `_greedy_split` takes, for a set of two members, the first test whose row
 tells them apart: every test that splits a pair gives the same two parts.
@@ -263,26 +273,30 @@ def _greedy_rule(inst: DTInstance, root: int):
         return rule
 
     shift, exact_sums, zero_x = packing
-    m, wn = inst.m, inst._wnum
+    m, wn, rows = inst.m, inst._wnum, inst.tests
     every = range(1, m + 1)
     fields = m * (inst.k - 1)
     nbytes = 4 * (fields + 1)
     unpack = Struct(f"<{fields + 1}I").unpack
     blocks = [slice(t * m, t * m + m) for t in range(inst.k - 1)]
+    ones = [bytes(b == a for b in range(256)) for a in range(inst.k + 1)]
     codes = {}          # member -> code, over the root's child being grown
+    pending = {}        # lowest member -> members, of each part not yet grown
 
     def rule(s: int, tests):
         nonlocal codes
         count = s.bit_count()
         if count < PACKED_SET_MIN:
             return None if count == 1 else _greedy_split(inst, s, tests)
+        members = pending.pop((s & -s).bit_length() - 1, None)
+        if members is None:
+            members = list(iter_bits(s))
         if s == root:
-            code_sum = sum(_codes(inst, list(iter_bits(s)), shift))
+            code_sum = sum(_codes(inst, members, shift))
         else:
-            if (s & -s).bit_length() - 1 not in codes:    # a child of the root
-                members = list(iter_bits(s))
+            if members[0] not in codes:     # a child of the root
                 codes = dict(zip(members, _codes(inst, members, shift)))
-            code_sum = sum(map(codes.__getitem__, iter_bits(s)))
+            code_sum = sum(map(codes.__getitem__, members))
         f = unpack(code_sum.to_bytes(nbytes, "little"))
         total = f[fields]
         rest = repeat(total)
@@ -293,19 +307,25 @@ def _greedy_rule(inst: DTInstance, root: int):
         margin = 0 if exact_sums else count + (     # D, module docstring
             (count * (total + count) + _ULP_ROUND) >> 51)
         if lo + margin >= total:        # a test that does not split s in reach
-            return _greedy_split(inst, s, tests)
-        if not margin:
-            test = big.index(lo) + 1
+            test, tests = _greedy_split(inst, s, tests)
         else:
-            near = list(compress(every, map(ge, repeat(lo + margin), big)))
-            if len(near) == 1:
-                test = near[0]
+            if not margin:
+                test = big.index(lo) + 1
             else:
-                members = list(iter_bits(s))
-                test = _settle(near, _member_weigher(inst, s, members),
-                               max(map(wn.__getitem__, members)))[0]
-        tests = list(compress(every, map(gt, repeat(total + zero_x), big)))
-        tests.remove(test)
+                near = list(compress(every, map(ge, repeat(lo + margin), big)))
+                if len(near) == 1:
+                    test = near[0]
+                else:
+                    test = _settle(near, _member_weigher(inst, s, members),
+                                   max(map(wn.__getitem__, members)))[0]
+            tests = list(compress(every, map(gt, repeat(total + zero_x), big)))
+            tests.remove(test)
+        # the parts that are packed sets too keep their members
+        answers = bytes(map(rows[test - 1].__getitem__, members))
+        for a in range(1, len(inst._answer_masks[test - 1]) + 1):
+            if answers.count(a) >= PACKED_SET_MIN:
+                part = list(compress(members, answers.translate(ones[a])))
+                pending[part[0]] = part
         return test, tests
     return rule
 
@@ -366,12 +386,19 @@ def _codes(inst: DTInstance, members: list[int], shift: int):
 
 
 def build_greedy_tree(inst: DTInstance, H: SetLike = None) -> DecisionTree:
-    """T_G over H: complete, greedy at every interior node, deterministic."""
+    """T_G over H: complete, greedy at every interior node, deterministic.
+
+    H is checked for two members that no test separates only when greedy
+    meets a set it cannot split, so a valid H is never scanned for pairs:
+    on such an H this raises `require_distinguishable`'s error."""
     smask = inst.as_mask(H)
     if smask == 0:
         raise UnsplittableSetError("cannot build a tree over the empty set")
-    require_distinguishable(inst, smask)
-    return build_greedy_node(inst, smask)
+    try:
+        return build_greedy_node(inst, smask)
+    except UnsplittableSetError:
+        require_distinguishable(inst, smask)
+        raise
 
 
 # ----------------------------------------------------------------------------

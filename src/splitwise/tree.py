@@ -19,10 +19,12 @@ and no walker recurses, so chain-shaped trees thousands of levels deep
 round-trip through text and JSON.
 
 Two cost routes are kept deliberately separate so they can cross-check each
-other: `cost` walks each hypothesis down the tree by its answers (`descent`:
-the deepest-consistent-vertex definition, independent of the cached masks),
-while `interior_weight_sum` adds up cached interior set weights.  On a
-complete tree the two must agree exactly in rational mode.
+other: `cost` replays H's answer sets down the tree in one preorder pass,
+each record's set cut by its test's answer masks, by the rules of
+`descent`, which walks one hypothesis down by its answers (the
+deepest-consistent-vertex definition); neither reads the cached masks.
+`interior_weight_sum` adds up cached interior set weights.  On a complete
+tree the two must agree exactly in rational mode.
 """
 
 from __future__ import annotations
@@ -108,40 +110,52 @@ class DecisionTree:
 
     def __init__(self, entries: Entries):
         """Index entry 0 and its descendants in preorder, children in
-        ascending answer order (later entry first on equal answers).  Child
-        ids come from subtree sizes when the parent's record is made.  A
-        leaf with children, or an interior entry without, raises
-        ParameterError."""
+        ascending answer order (later entry first on equal answers).  A
+        backward pass sums subtree sizes; a forward pass, parents first,
+        gives each parent's children their record ids from those sizes, and
+        each record its parent's depth plus one.  A leaf with children, or
+        an interior entry without, raises ParameterError, the first such
+        record in preorder."""
         tests, masks, parents, answers = (entries.tests, entries.masks,
                                           entries.parents, entries.answers)
+        count = len(tests)
         kids: dict[int, list[int]] = {}
-        size = [1] * len(tests)
-        for idx in range(len(tests) - 1, 0, -1):
+        size = [1] * count
+        for idx in range(count - 1, 0, -1):
             parent = parents[idx]
             size[parent] += size[idx]
             kids.setdefault(parent, []).append(idx)
-        recs: list[NodeRecord] = []
-        stack = [(0, 0, None, 0)]    # (entry, record id, parent id, depth)
-        while stack:
-            idx, rid, pid, depth = stack.pop()
-            test = tests[idx]
+        # an entry's size is read for the last time when its parent's
+        # children get their ids, so from then on its slot holds its id
+        rids = size
+        rids[0] = 0
+        recs: list[NodeRecord] = [None] * count
+        bad = []        # (record id, message) of each misplaced entry
+        for idx, test in enumerate(tests):
+            rid = rids[idx]
             ch = kids.pop(idx, None)
             cids = ()
             if ch is not None:
                 if test is None:
-                    raise ParameterError(f"leaf entry {idx} has children")
+                    bad.append((rid, f"leaf entry {idx} has children"))
                 ch.sort(key=answers.__getitem__)   # stable: later entries first
                 cids = [rid + 1]
                 for c in ch[:-1]:
                     cids.append(cids[-1] + size[c])
+                for c, cid in zip(ch, cids):
+                    rids[c] = cid
                 cids = tuple(cids)      # from a list: sized exactly
-                stack.extend((c, cid, rid, depth + 1)
-                             for c, cid in zip(reversed(ch), reversed(cids)))
             elif test is not None:
-                raise ParameterError(
-                    f"interior entry {idx} (test {test}) has no children")
-            recs.append(NodeRecord(rid, test, masks[idx], depth, pid,
-                                   None if pid is None else answers[idx], cids))
+                bad.append((rid, f"interior entry {idx} (test {test}) has no children"))
+            parent = parents[idx]
+            if parent is None:
+                recs[rid] = NodeRecord(rid, test, masks[idx], 0, None, None, cids)
+            else:
+                pid = rids[parent]
+                recs[rid] = NodeRecord(rid, test, masks[idx], recs[pid].depth + 1,
+                                       pid, answers[idx], cids)
+        if bad:
+            raise ParameterError(min(bad)[1])
         self.records = tuple(recs)
         self.root = recs[0]
 
@@ -280,18 +294,52 @@ def depth_of(tree: DecisionTree, inst: DTInstance, h: int) -> int:
 def cost(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> CostBreakdown:
     """Weighted average depth of H under the tree.
 
-    Depths come from answer descent, never from cached masks, so this side of
-    the Lemma-style cost identity cannot be fooled by corrupted caches.
+    Depths come from answers, never from cached masks, so this side of the
+    Lemma-style cost identity cannot be fooled by corrupted caches: H's
+    answer sets are replayed top-down by `descent`'s rules.  A record's set
+    goes, child by child in ascending answer order, to the first child
+    whose answer its members give; the members no child takes stop at the
+    record.  A test id outside 1..m that some member reaches raises
+    ParameterError, naming the one the lowest such member meets, as one
+    `descent` per member in ascending order would.  Each record's set is
+    dropped when the record is reached, so only the sets of the walk's
+    frontier are alive.
     """
     hmask = inst.as_mask(H)
     if hmask == 0:
         raise ParameterError("cost undefined for an empty hypothesis set")
+    recs, amasks, m = tree.records, inst._answer_masks, inst.m
+    sets = {0: hmask}
+    stops: list[int | None] = [None] * hmask.bit_length()   # depth by index
+    bad = []        # (lowest member, test id) of each bad test reached
+    for rec in recs:
+        s = sets.pop(rec.id, 0)
+        if not s:
+            continue
+        test = rec.test
+        if test is not None:
+            if not 0 < test <= m:
+                bad.append(((s & -s).bit_length(), test))
+                continue
+            masks = amasks[test - 1]
+            for cid in rec.child_ids:
+                a = recs[cid].parent_answer
+                if 0 < a <= len(masks) and (part := s & masks[a - 1]):
+                    sets[cid] = part
+                    s ^= part
+                    if not s:
+                        break
+        for i in iter_bits(s):
+            stops[i] = rec.depth
+    if bad:         # `descent`'s error for the lowest member that meets one
+        raise ParameterError(f"test {min(bad)[1]} outside 1..{m}")
     depths: dict[int, int] = {}
     raw_num = 0
-    for i in iter_bits(hmask):
-        d = depth_of(tree, inst, i + 1)
-        depths[i + 1] = d
-        raw_num += inst._wnum[i] * d
+    wn = inst._wnum
+    for i, d in enumerate(stops):
+        if d is not None:
+            depths[i + 1] = d
+            raw_num += wn[i] * d
     norm_num = inst.mask_num(hmask)
     if norm_num == 0:
         raise ParameterError("cost undefined for a weight-zero hypothesis set")
@@ -340,7 +388,8 @@ def tree_to_text(tree: DecisionTree) -> str:
             lines.append(f"{rec.id} {rec.depth} leaf {pans}")
         else:
             lines.append(f"{rec.id} {rec.depth} test {rec.test} {pans}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def tree_to_json_obj(tree: DecisionTree) -> dict:

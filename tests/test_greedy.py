@@ -13,6 +13,7 @@ import pytest
 
 from splitwise import (
     DTInstance,
+    InvalidInstanceError,
     ParameterError,
     UnsplittableSetError,
     build_greedy_tree,
@@ -27,6 +28,7 @@ from splitwise import (
     is_complete,
     majority_parts,
     optimal_cost,
+    require_distinguishable,
     structural_problems,
     tree_to_text,
 )
@@ -674,3 +676,68 @@ def test_labels_heavy_matches_reference(K, exact):
                 vertices += 1
                 heavy += want is not None
     assert vertices >= 100 and heavy >= 10, (vertices, heavy)
+
+
+# ---------------------------------------------------------------------------
+# the distinguishability check runs only when greedy fails
+# ---------------------------------------------------------------------------
+
+def test_greedy_checks_pairs_only_when_it_fails(monkeypatch):
+    """On an H with two members no test separates, `build_greedy_tree`
+    raises `require_distinguishable`'s error, message and pair; on a valid
+    H it never scans for pairs."""
+    rng = random.Random(90)
+    cases = []
+    for exact in (True, False):
+        for profile, n in (("skew", 300), ("uniform", 40), ("skew", 12)):
+            inst = gen_random(n, 16, 2, n, profile=profile, exact=exact)
+            # copy two columns onto two others: two undistinguished pairs
+            tests = [list(row) for row in inst.tests]
+            for row in tests:
+                row[5], row[n - 1] = row[2], row[n - 3]
+            bad = DTInstance(inst.weights, tests, 2)
+            for H in (None, rng.getrandbits(n) | 1 << 2 | 1 << 5):
+                cases.append((bad, H))
+    for inst, H in cases:
+        with pytest.raises(InvalidInstanceError) as want:
+            require_distinguishable(inst, inst.as_mask(H))
+        with pytest.raises(InvalidInstanceError) as got:
+            build_greedy_tree(inst, H)
+        assert str(got.value) == str(want.value)
+        assert got.value.undistinguished == want.value.undistinguished
+
+    def refuse(inst, mask):
+        raise AssertionError("a valid H was scanned for pairs")
+    monkeypatch.setattr(greedy, "require_distinguishable", refuse)
+    for inst, H in cases:
+        valid = inst.as_mask(H) & ~(1 << 5 | 1 << (inst.n - 1))
+        build_greedy_tree(inst, valid)
+
+
+def test_packed_sets_carry_their_members(monkeypatch):
+    """On the packed route only the root walks the bits of its mask: every
+    other packed set takes its member list from its parent's split, and the
+    lists end used up."""
+    walked, rules = [], []
+    iter_bits, greedy_rule = greedy.iter_bits, greedy._greedy_rule
+
+    def iter_bits_wrapper(mask):
+        walked.append(mask.bit_count())
+        return iter_bits(mask)
+
+    def rule_wrapper(inst, root):
+        rules.append(greedy_rule(inst, root))
+        return rules[-1]
+
+    monkeypatch.setattr(greedy, "iter_bits", iter_bits_wrapper)
+    monkeypatch.setattr(greedy, "_greedy_rule", rule_wrapper)
+    for K in (2, 3):
+        walked.clear()
+        inst = gen_random(300, 24, K, 11 + K, profile="skew")
+        tree = build_greedy_tree(inst)
+        assert [c for c in walked if c >= greedy.PACKED_SET_MIN] == [300]
+        assert sum(rec.mask.bit_count() >= greedy.PACKED_SET_MIN
+                   for rec in tree.interior_records()) > 20
+        state = dict(zip(rules[-1].__code__.co_freevars,
+                         (cell.cell_contents for cell in rules[-1].__closure__)))
+        assert state["pending"] == {}

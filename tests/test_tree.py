@@ -5,11 +5,14 @@ replays each hypothesis from the root by hand and counts edges.
 """
 
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from splitwise import (
+    CostBreakdown,
     DTInstance,
     DecisionTree,
     Entries,
@@ -21,6 +24,7 @@ from splitwise import (
     corrupt_interior_mask,
     cost,
     depth_of,
+    gen_random,
     grow,
     interior_weight_sum,
     is_complete,
@@ -33,6 +37,7 @@ from splitwise import (
     tree_to_text,
     verify_caches,
 )
+from splitwise.tree import descent
 from conftest import random_valid_instance, tree_of
 
 
@@ -426,3 +431,245 @@ def test_entries_out_of_order_index_like_preorder():
     shuffled = DecisionTree(entries)
     assert shuffled.records == perfect_tree().records
     verify_caches(shuffled, quarter_instance())
+
+
+# ---------------------------------------------------------------------------
+# differential checks: the one-pass index and the answer-set cost replay
+# against the routes they replaced
+# ---------------------------------------------------------------------------
+
+def reference_index(entries: Entries) -> list[tuple]:
+    """The records as the stack traversal indexed them: (id, test, mask,
+    depth, parent id, parent answer, child ids) in preorder, children in
+    ascending answer order, later entry first on equal answers."""
+    tests, masks, parents, answers = (entries.tests, entries.masks,
+                                      entries.parents, entries.answers)
+    kids, size = {}, [1] * len(tests)
+    for idx in range(len(tests) - 1, 0, -1):
+        size[parents[idx]] += size[idx]
+        kids.setdefault(parents[idx], []).append(idx)
+    recs = []
+    stack = [(0, 0, None, 0)]
+    while stack:
+        idx, rid, pid, depth = stack.pop()
+        test = tests[idx]
+        ch = kids.pop(idx, None)
+        cids = ()
+        if ch is not None:
+            if test is None:
+                raise ParameterError(f"leaf entry {idx} has children")
+            ch.sort(key=answers.__getitem__)
+            cids = [rid + 1]
+            for c in ch[:-1]:
+                cids.append(cids[-1] + size[c])
+            cids = tuple(cids)
+            stack.extend((c, cid, rid, depth + 1)
+                         for c, cid in zip(reversed(ch), reversed(cids)))
+        elif test is not None:
+            raise ParameterError(
+                f"interior entry {idx} (test {test}) has no children")
+        recs.append((rid, test, masks[idx], depth, pid,
+                     None if pid is None else answers[idx], cids))
+    return recs
+
+
+def random_entries(rng: random.Random, size: int, tests, answers) -> Entries:
+    """Entries of a random shape: each entry's parent is a random earlier
+    interior entry, so the order is neither preorder nor breadth-first;
+    tests and child answers are drawn from `tests` and `answers`, which may
+    repeat.  Interior entries left without children become leaves."""
+    entries = Entries()
+    entries.add(rng.choice(tests), rng.getrandbits(16), None, None)
+    interior = [0]
+    while len(entries.tests) < size:
+        test = rng.choice(tests) if rng.random() < 0.4 else None
+        idx = entries.add(test, rng.getrandbits(16), rng.choice(interior),
+                          rng.choice(answers))
+        if test is not None:
+            interior.append(idx)
+    has_kids = set(entries.parents[1:])
+    for idx in interior:
+        if idx not in has_kids:
+            entries.tests[idx] = None
+    return entries
+
+
+def relisted(tree: DecisionTree, order: str, rng: random.Random) -> Entries:
+    """The tree's records as entries listed in preorder with each node's
+    children shuffled, or breadth-first."""
+    entries = Entries()
+    todo = [(tree.root.id, None)]
+    while todo:
+        rid, parent = todo.pop() if order == "shuffled" else todo.pop(0)
+        rec = tree.records[rid]
+        idx = entries.add(rec.test, rec.mask, parent, rec.parent_answer)
+        kids = list(rec.child_ids)
+        if order == "shuffled":
+            rng.shuffle(kids)
+        todo.extend((cid, idx) for cid in kids)
+    return entries
+
+
+def assert_index_matches(entries: Entries, label):
+    try:
+        want = reference_index(entries)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            DecisionTree(entries)
+        assert str(got.value) == str(exc), label
+        return
+    got = [(r.id, r.test, r.mask, r.depth, r.parent_id, r.parent_answer, r.child_ids)
+           for r in DecisionTree(entries).records]
+    assert got == want, label
+
+
+def test_index_matches_stack_traversal():
+    rng = random.Random(31)
+    for idx in range(40):
+        inst = random_valid_instance(rng, rng.randrange(2, 24),
+                                     rng.randrange(2, 6), rng.choice([2, 3]))
+        tree = build_greedy_tree(inst)
+        preorder = Entries()
+        for r in tree.records:
+            preorder.add(r.test, r.mask, r.parent_id, r.parent_answer)
+        assert_index_matches(preorder, (idx, "preorder"))
+        for order in ("shuffled", "bfs"):
+            entries = relisted(tree, order, rng)
+            assert_index_matches(entries, (idx, order))
+            assert DecisionTree(entries).records == tree.records
+        # duplicate child answers: equal answers keep the later entry first
+        entries = random_entries(rng, rng.randrange(1, 40), [1, 2], [1, 2, 2, 3])
+        assert_index_matches(entries, (idx, "duplicate answers"))
+
+
+def test_index_raises_like_stack_traversal():
+    rng = random.Random(32)
+    raised = Counter()
+    for idx in range(200):
+        entries = random_entries(rng, rng.randrange(2, 30), [1, 2, 3], [1, 2, 3])
+        # one or two misplaced entries: a leaf given children (its test set
+        # to None) or an interior entry left without them
+        for _ in range(rng.randrange(1, 3)):
+            pos = rng.randrange(len(entries.tests))
+            if pos in entries.parents:
+                entries.tests[pos] = None
+            else:
+                entries.tests[pos] = 1
+        try:
+            reference_index(entries)
+        except ParameterError as exc:
+            raised[str(exc).split()[0]] += 1
+        assert_index_matches(entries, idx)
+    assert raised["leaf"] and raised["interior"], raised
+
+
+def reference_cost(tree: DecisionTree, inst: DTInstance, H=None) -> CostBreakdown:
+    """The cost by one `descent` per hypothesis of H, ascending."""
+    hmask = inst.as_mask(H)
+    depths, raw_num = {}, 0
+    for h in range(1, inst.n + 1):
+        if hmask >> (h - 1) & 1:
+            d = descent(tree, inst, h)[-1].depth
+            depths[h] = d
+            raw_num += inst._wnum[h - 1] * d
+    raw, norm = inst.num_to_weight(raw_num), inst.num_to_weight(inst.mask_num(hmask))
+    return CostBreakdown(raw / norm, raw, depths, norm)
+
+
+def assert_cost_matches(tree: DecisionTree, inst: DTInstance, H, label):
+    try:
+        want = reference_cost(tree, inst, H)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            cost(tree, inst, H)
+        assert str(got.value) == str(exc), label
+        return False
+    got = cost(tree, inst, H)
+    assert list(got.depths.items()) == list(want.depths.items()), label
+    for field in ("total", "raw", "normalizer"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert type(a) is type(b) and a == b, (label, field)
+    return True
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_cost_matches_descent_on_malformed_trees(exact):
+    """Hand-built trees with repeated child answers, answers outside 1..K
+    and one or two test ids outside 1..m, reached by H or not, over random
+    subsets H: `cost` gives `descent`'s depths, in its order, and its sums,
+    or its error."""
+    rng = random.Random(33 + exact)
+    outcomes = Counter()
+    for idx in range(150):
+        K = rng.choice([2, 3])
+        inst = random_valid_instance(rng, rng.randrange(2, 14),
+                                     rng.randrange(2, 5), K)
+        if not exact:
+            inst = DTInstance([float(w) for w in inst.weights], inst.tests, K)
+        m = inst.m
+        entries = random_entries(rng, rng.randrange(1, 30), list(range(1, m + 1)),
+                                 [-1, 0, 1, 1, 2, 2, 3, K + 1])
+        interior = [i for i, t in enumerate(entries.tests) if t is not None]
+        bad = bool(interior) and rng.random() < 0.4
+        if bad:
+            spots = rng.sample(interior, min(len(interior), rng.randrange(1, 3)))
+            for pos, test in zip(spots, rng.sample([0, -1, m + 1], 2)):
+                entries.tests[pos] = test
+        tree = DecisionTree(entries)
+        for _ in range(3):
+            H = rng.getrandbits(inst.n) or 1
+            outcomes[bad, assert_cost_matches(tree, inst, H, idx)] += 1
+    # a bad test id reached (no cost) and not reached (a cost) both occur
+    assert outcomes[True, False] and outcomes[True, True] and outcomes[False, True], outcomes
+
+
+def test_cost_names_the_bad_test_the_lowest_member_meets():
+    """Two bad test ids, the first in preorder met only by hypothesis 2:
+    the error names the one hypothesis 1 meets, as descent does."""
+    inst = DTInstance([1, 1], [[2, 1]], 2)
+    entries = Entries()
+    entries.add(1, 0b11, None, None)
+    entries.add(0, 0b10, 0, 1)
+    entries.add(-1, 0b01, 0, 2)
+    entries.add(None, 0b10, 1, 1)
+    entries.add(None, 0b01, 2, 1)
+    tree = DecisionTree(entries)
+    assert not assert_cost_matches(tree, inst, None, "two bad tests")
+    with pytest.raises(ParameterError, match=r"test -1 outside 1\.\.1"):
+        cost(tree, inst)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_cost_matches_descent_on_greedy_trees(exact):
+    for seed, (n, K) in enumerate([(60, 2), (60, 3), (300, 2), (300, 5)]):
+        inst = gen_random(n, 24, K, seed, profile="skew", exact=exact)
+        tree = build_greedy_tree(inst)
+        rng = random.Random(seed)
+        for H in (None, rng.getrandbits(n) | 1, 1 << (n - 1)):
+            assert assert_cost_matches(tree, inst, H, (seed, H))
+
+
+def test_cost_keeps_only_the_frontier_sets():
+    """Each record's answer set is dropped once the record is reached: sets
+    kept for every record of this tree peak near 3.8 MB, the index-and-depth
+    pairs of the stops alone near 2.2 MB."""
+    inst = gen_random(4000, 40, 2, 1, profile="skew")
+    tree = build_greedy_tree(inst)
+    tracemalloc.start()
+    try:
+        cost(tree, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6, peak
+
+
+def test_node_records_are_immutable_hashable_values():
+    tree = perfect_tree()
+    rec = tree.records[1]
+    with pytest.raises(AttributeError):
+        rec.depth = 5
+    assert rec == perfect_tree().records[1] and rec is not perfect_tree().records[1]
+    assert hash(rec) == hash(perfect_tree().records[1])
+    assert len(set(tree.records) | set(perfect_tree().records)) == 7
+    assert rec.is_leaf is False and tree.records[2].is_leaf is True
