@@ -14,7 +14,7 @@ from .errors import (BudgetExceededError, FormatError, GenerationError,
                      StructureError, UnsplittableSetError)
 from .instance import (DTInstance, ValidationReport, format_number,
                        has_two_sided_test, iter_bits, members_of,
-                       parse_number, restrict, round_weights,
+                       parse_number, round_weights,
                        require_distinguishable, require_valid,
                        undistinguished_pairs, validate_instance)
 from .tree import (CostBreakdown, DecisionTree, Entries, NodeRecord, cost,

@@ -153,7 +153,7 @@ def _family_greedy_bound(ctx: AuditContext, seed: int, float_mode: bool) -> None
         if c_opt <= 1:
             continue
         c_g = cost(build_greedy_tree(inst), inst).total
-        rhs = theorem1_bound(inst.n, inst.p_min, inst.p_max, c_opt)
+        rhs = theorem1_bound(inst.p_min, inst.p_max, c_opt)
         ctx.add(_tag(make_line("theorem1", c_g, rhs), tag), inst)
         if inst.uniform and inst.k == 2:
             ctx.add(_tag(make_line("uniform_binary", c_g,
@@ -182,7 +182,7 @@ def _family_imbalanced(ctx: AuditContext, seed: int, float_mode: bool) -> None:
         c_opt = optimal_cost(inst)
         if c_opt <= 1:
             continue
-        delta, _ = choose_delta(c_opt=c_opt)
+        delta = choose_delta(c_opt)
         tree = build_greedy_tree(inst)
         ctx.extend((_tag(line, tag) for line in
                     imbalanced_audit(tree, inst, delta, c_opt)), inst, tree)
@@ -205,7 +205,7 @@ def _family_chains(ctx: AuditContext, seed: int, float_mode: bool) -> None:
         c_opt = optimal_cost(inst)
         if c_opt <= 1:
             continue
-        delta, _ = choose_delta(c_opt=c_opt)
+        delta = choose_delta(c_opt)
         tree = build_greedy_tree(inst)
         ctx.extend((_tag(line, tag) for line in
                     chain_mssc_audit(tree, inst, delta, c_opt)), inst, tree)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError, StructureError
 from .greedy import heavy_above, majority_parts
@@ -213,11 +212,6 @@ class ChainDecomposition:
     def chains_at(self, s: int) -> tuple[tuple[int, ...], ...]:
         return self.by_level.get(s, ())
 
-    def iter_chains(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        for s in sorted(self.by_level):
-            for chain in self.by_level[s]:
-                yield s, chain
-
     def __repr__(self) -> str:
         total = sum(len(cs) for cs in self.by_level.values())
         return f"ChainDecomposition(delta={self.delta}, {total} chains over {len(self.by_level)} levels)"
@@ -334,13 +328,9 @@ def heavy_cover_instance(inst: DTInstance, tree: DecisionTree, top_id: int,
 # bound evaluators
 # ----------------------------------------------------------------------------
 
-def theorem1_bound(n: int, p_min: Number, p_max: Number, c_opt: Number) -> float:
+def theorem1_bound(p_min: Number, p_max: Number, c_opt: Number) -> float:
     """General-form guarantee on the greedy cost:
-    (12*log2(1/p_min)/log2(C_opt) + ln(p_max/p_min)) * C_opt.
-
-    `n` is accepted for symmetry with the uniform evaluator (there
-    log2(1/p_min) = log2 n); the general form does not depend on it.
-    """
+    (12*log2(1/p_min)/log2(C_opt) + ln(p_max/p_min)) * C_opt."""
     if c_opt <= 1:
         raise ParameterError("bound undefined for C_opt <= 1")
     if not 0 < p_min <= p_max:
@@ -359,15 +349,11 @@ def uniform_binary_bound(n: int, c_opt: Number) -> float:
     return 6.0 * math.log2(n) / math.log2(co) * co
 
 
-def choose_delta(c_opt: Number | None = None, c_g: Number | None = None):
-    """The scale the bound assembly wants: 1/C_opt when the exact optimum is
-    known, else 1/C_G as a labeled proxy.  Returns (delta, is_proxy)."""
-    basis, proxy = (c_opt, False) if c_opt is not None else (c_g, True)
-    if basis is None:
-        raise ParameterError("need C_opt or C_G to choose delta")
-    if basis <= 1:
+def choose_delta(c_opt: Number) -> Number:
+    """The scale the bound assembly wants: 1/C_opt."""
+    if c_opt <= 1:
         raise ParameterError("delta undefined for cost <= 1")
-    return 1 / basis, proxy
+    return 1 / c_opt
 
 
 # ----------------------------------------------------------------------------
@@ -544,7 +530,7 @@ def assembled_audit(tree: DecisionTree, inst: DTInstance,
     """
     if not (inst.uniform and inst.k == 2):
         raise ParameterError("bound assembly is for uniform binary instances")
-    delta, _ = choose_delta(c_opt=exact_c_opt)
+    delta = choose_delta(exact_c_opt)
     labels = classify_vertices(tree, inst, delta)
     c_g = interior_weight_sum(tree, inst)
 

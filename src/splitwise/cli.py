@@ -266,7 +266,7 @@ def _experiment_rows(args, budget):
                     status="skipped")
                 continue
             ms = (time.perf_counter() - t0) * 1000.0
-            bound = theorem1_bound(inst.n, inst.p_min, inst.p_max, c_opt) \
+            bound = theorem1_bound(inst.p_min, inst.p_max, c_opt) \
                 if c_opt > 1 else None
             row(iid, inst, "greedy", c_g, "exact", c_opt, bound, ms)
     elif args.family == "grid":

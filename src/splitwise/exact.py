@@ -8,9 +8,9 @@ Recurrence.  Over a hypothesis set H with remaining depth budget b,
 
 where f is the unnormalized cost sum Σ_h p_h·d(h) in raw numerator units
 (`DTInstance.mask_num`) and j ranges over tests that actually split H,
-deduplicated by the partition they induce.  A set that no test splits (only
-on an instance with undistinguished pairs) costs 0: the search truncates
-there.  The chosen test is the lowest-index j of minimum cost.
+deduplicated by the partition they induce.  The chosen test is the
+lowest-index j of minimum cost.  The solver refuses an instance with
+undistinguished pairs, so some test splits every set of two or more.
 
 Memo key.  Every part of a split is strictly smaller than its set, so along a
 path the set shrinks by one or more per level and a budget b >= |H| - 1 never
@@ -30,10 +30,8 @@ Bounds.  LB(H, b) <= f(H, b), for a normalized b:
   most K^l - 1 hypotheses are resolved by then and the level still carries
   at least p(H) minus the K^l - 1 heaviest weights.
 
-On uniform weights both bounds are closed forms in O(log |H|) steps.  Both
-assume that every set of two or more splits; on an instance with
-undistinguished pairs that fails, so there every bound is 0.  A part already
-in the memo is bounded by its exact value.
+On uniform weights both bounds are closed forms in O(log |H|) steps.  A part
+already in the memo is bounded by its exact value.
 
 Search.  Each candidate test j scores p(H) + Σ LB(part).  Candidates are
 visited by (score, j).  Candidate j is skipped, or abandoned mid-sum once the
@@ -54,8 +52,7 @@ test, the weight of each part of two or more members, and the lowest such
 test of minimum total wins.  `_shallow` answers these memo misses with one
 pass over the tests, with no candidate list, bound or subproblem stack.
 Every set of three or fewer members normalizes to such a budget, so
-full-depth solves use it too.  In exact mode, on an instance where every
-set of two or more splits, the parts sum to H, so
+full-depth solves use it too.  In exact mode the parts sum to H, so
 
     f(H, 2) = 2·p(H) - (the weight of the split's singleton parts),
 
@@ -65,9 +62,7 @@ part sums and no partition dedupe: integer sums do not depend on order, so
 a relabelled copy of a partition ties and the first test wins anyway.
 Float mode adds each part of two or more members in answer order over the
 distinct partitions: a relabelled copy adds its parts in another order and
-can win by an ulp, so the dedupe keeps the first test.  On an instance with
-undistinguished pairs a part of two or more members adds its own
-f(part, 1), which is 0 when no test splits it.
+can win by an ulp, so the dedupe keeps the first test.
 
 Each expansion is a generator that yields the subproblems it needs; `_solve`
 runs them from an explicit stack, so a chain-shaped optimum thousands of
@@ -82,7 +77,7 @@ from itertools import accumulate
 
 from .errors import BudgetExceededError, ParameterError
 from .instance import (REL_TOL, DTInstance, Number, SetLike, iter_bits,
-                       require_distinguishable, undistinguished_pairs)
+                       require_distinguishable)
 from .tree import DecisionTree, grow
 
 
@@ -100,13 +95,15 @@ class ExactSolver:
     enumerated; `budget_ms` is a wall-clock ceiling checked at every expansion
     and every candidate scored.  Either limit raises BudgetExceededError
     carrying the counter so callers can report partial statistics.  A
-    negative or NaN budget is a ParameterError; inf sets no deadline.
+    negative or NaN budget is a ParameterError; inf sets no deadline.  An
+    instance with undistinguished pairs raises InvalidInstanceError.
     """
 
     def __init__(self, inst: DTInstance, *, max_expansions: int | None = None,
                  budget_ms: float | None = None):
         if budget_ms is not None and not 0 <= budget_ms:    # NaN fails too
             raise ParameterError(f"wall-clock budget must be >= 0 ms, got {budget_ms}")
+        require_distinguishable(inst, inst.full_mask)
         self.inst = inst
         self.memo: dict[tuple[int, int], tuple] = {}
         self.stats = SearchStats()
@@ -114,7 +111,6 @@ class ExactSolver:
         self._deadline = (
             time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
         )
-        self._bounded = not any(undistinguished_pairs(inst, inst.full_mask))
 
     # -- budgets ---------------------------------------------------------------
 
@@ -130,8 +126,6 @@ class ExactSolver:
 
     def _lower_bound(self, mask: int, b: int):
         """LB(mask, b) in raw numerator units, for b = min(b, |mask| - 1) > 0."""
-        if not self._bounded:
-            return 0
         inst = self.inst
         k = inst.k
         s = mask.bit_count()
@@ -246,9 +240,9 @@ class ExactSolver:
         p_here = inst.mask_num(mask)
         best = best_j = None
         if b == 1:
-            best_j = next(self._partitions(mask), (None,))[0]
+            best_j = next(self._partitions(mask))[0]
             best = p_here
-        elif self._bounded and inst.exact:
+        elif inst.exact:
             # f = 2·p(H) - the weight of the split's singleton parts
             wn = inst._wnum
             most = -1
@@ -269,20 +263,18 @@ class ExactSolver:
                 total = p_here
                 for pm in parts:
                     if pm & (pm - 1):       # two or more members
-                        total += (inst.mask_num(pm) if self._bounded
-                                  else self._solve(pm, 1)[0])
+                        total += inst.mask_num(pm)
                 if best is None or total < best:
                     best, best_j = total, j
-        # no test splits this set: only on instances with undistinguished pairs
-        result = (0, None) if best_j is None else (best, best_j)
+        result = (best, best_j)
         self.memo[(mask, b)] = result
         return result
 
     def _expand(self, mask: int, b: int):
         """The search at one memo miss (mask, b), b normalized and above 2: a
         generator that yields each subproblem (part, budget) above budget 2
-        it needs solved, is sent its f, and returns (f(mask, b), best test or
-        None) after memoizing it."""
+        it needs solved, is sent its f, and returns (f(mask, b), best test)
+        after memoizing it."""
         self._count_expansion()
         stats = self.stats
         inst = self.inst
@@ -335,9 +327,7 @@ class ExactSolver:
                     # exact: prune past (best, best_j); float: past the margin
                     cut = ((best, best_j) if inst.exact
                            else (best + best * REL_TOL, inst.m + 1))
-        # No test splits this set: only reachable on invalid instances;
-        # truncate here instead of spending budget on useless tests.
-        result = (0, None) if best is None else (best, best_j)
+        result = (best, best_j)
         memo[(mask, b)] = result
         return result
 
@@ -359,7 +349,7 @@ class ExactSolver:
 
     def partial_tree(self, H: SetLike, b: int) -> DecisionTree:
         """Minimum-cost tree complete w.r.t. H up to depth b; leaves may hold
-        several hypotheses only at depth b (or when no test splits them)."""
+        several hypotheses only at depth b."""
         mask = self._nonempty(H, b)
 
         def rule(s: int, budget: int):
@@ -372,12 +362,10 @@ class ExactSolver:
         """Full optimum via b = |H| - 1 (an optimal path never revisits an
         unsplit set, so |H| - 1 edges always suffice)."""
         mask = self._nonempty(H)
-        require_distinguishable(self.inst, mask)
         return self.partial_tree(mask, max(mask.bit_count() - 1, 0))
 
     def optimal_cost(self, H: SetLike = None) -> Number:
         mask = self._nonempty(H)
-        require_distinguishable(self.inst, mask)
         return self.partial_cost(mask, max(mask.bit_count() - 1, 0))
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -288,6 +287,10 @@ REDUCTION_CASES = (
     (2, (frozenset({1}), frozenset({2}), frozenset({1, 2})), 0.25),
 )
 
+# the most answers (n * m) a reduction instance may hold: `--n0 2 --r 0.1`
+# holds about 2.9 million, and a smaller r grows n and m exponentially
+MAX_REDUCTION_ANSWERS = 2 ** 25
+
 @dataclass(frozen=True)
 class ReductionMeta:
     q: int          # cover repetitions guarding each sentinel
@@ -329,9 +332,12 @@ def gen_setcover_reduction(n0: int, sets, r: float):
     if ell < 1:
         raise ParameterError(f"n0 too small for r: block count would be {ell}")
     n = ell * (q * n0 + 1)
-    if n > sys.maxsize:
-        raise ParameterError(f"r={r} asks for {n} hypotheses, above {sys.maxsize}")
-    M = len(sets)
+    n0_bits = math.floor(math.log2(n0))
+    ell_bits = math.floor(math.log2(ell))
+    m = ell * q * len(sets) * (n0_bits + 2) + ell_bits + 1
+    if n * m > MAX_REDUCTION_ANSWERS:
+        raise ParameterError(f"r={r} asks for {n} hypotheses and {m} tests, "
+                             f"above {MAX_REDUCTION_ANSWERS} answers")
 
     def real_index(h1: int, h2: int, h3: int) -> int:
         return ((h1 - 1) * q + (h2 - 1)) * n0 + h3
@@ -361,7 +367,6 @@ def gen_setcover_reduction(n0: int, sets, r: float):
             for s in sets:
                 tests.append([1 if h1s[i] == h1 and h2s[i] == h2
                               and h3s[i] in s else 2 for i in range(n)])
-    n0_bits = math.floor(math.log2(n0))
     for h1 in range(1, ell + 1):
         for h2 in range(1, q + 1):
             for s in sets:
@@ -369,7 +374,7 @@ def gen_setcover_reduction(n0: int, sets, r: float):
                     tests.append([1 if h1s[i] == h1 and h2s[i] == h2
                                   and h3s[i] in s and (h3s[i] >> t) & 1 else 2
                                   for i in range(n)])
-    for t in range(math.floor(math.log2(ell)) + 1):
+    for t in range(ell_bits + 1):
         tests.append([1 if (h1s[i] >> t) & 1 else 2 for i in range(n)])
 
     inst = DTInstance(weights, tests, 2)

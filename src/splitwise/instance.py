@@ -9,10 +9,13 @@ mode), chosen once at construction time.
 
 This module alone decides the number mode.  `coerce_weights` is the one rule
 (any float weight means float mode, otherwise every weight is a Fraction) and
-both `DTInstance` and `mssc.MsscInstance` apply it.  Callers never branch on
-the mode: they start sums at the instance's typed `zero`, turn raw numerator
-sums into weights with `num_to_weight`, bring outside scalars into the mode
-with `as_number`, and let arithmetic keep the operands' type.
+both `DTInstance` and `mssc.MsscInstance` apply it.  Callers start sums at
+the instance's typed `zero`, turn raw numerator sums into weights with
+`num_to_weight`, bring outside scalars into the mode with `as_number`, and
+let arithmetic keep the operands' type.  Only where the two modes must work
+differently do they read `.exact`: greedy's numerator zero, packed weight
+codes and two-heavy check, exact search's budget-2 shortcut and pruning
+margin, and the rounding audit's tolerances.
 """
 
 from __future__ import annotations
@@ -246,13 +249,11 @@ class DTInstance:
 
     `exact` is inferred from the weight types by `coerce_weights`, and `zero`
     is that mode's typed zero (Fraction(0) or 0.0).  `norm` is the total mass
-    (1 for a normalized root instance; the subset mass p(H) for instances
-    produced by `restrict`).  `origin[i]` maps hypothesis i+1 back to its
-    1-based id in the parent instance when this instance is a restriction.
+    of the weights, 1 on a valid instance.
     """
 
     __slots__ = (
-        "n", "m", "k", "weights", "tests", "exact", "zero", "norm", "origin",
+        "n", "m", "k", "weights", "tests", "exact", "zero", "norm",
         "_wnum", "_wden", "_answer_masks", "_uniform", "_full_mask",
         "_nonnegative",
     )
@@ -262,8 +263,6 @@ class DTInstance:
         weights: Sequence[Number],
         tests: Sequence[Sequence[int]],
         k: int | None = None,
-        *,
-        origin: tuple[int, ...] | None = None,
     ):
         ws, exact, zero = coerce_weights(weights)
         if not ws:
@@ -310,7 +309,6 @@ class DTInstance:
         self.tests = rows
         self.exact = exact
         self.zero = zero
-        self.origin = origin
         self._full_mask = (1 << n) - 1
 
         if exact:
@@ -539,9 +537,7 @@ class DTInstance:
         """Float-mode copy (identity if already float)."""
         if not self.exact:
             return self
-        return DTInstance(
-            [float(w) for w in self.weights], self.tests, self.k, origin=self.origin
-        )
+        return DTInstance([float(w) for w in self.weights], self.tests, self.k)
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
@@ -574,12 +570,11 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
             problems.append(f"{kind} weight p_{h}={format_number(w)}")
 
     total = inst.norm
-    if inst.origin is None:
-        if inst.exact:
-            if total != 1:
-                problems.append(f"weights sum to {format_number(total)}, expected 1")
-        elif abs(total - 1.0) > FLOAT_SUM_TOL:
-            problems.append(f"weights sum to {total!r}, |sum-1| > {FLOAT_SUM_TOL}")
+    if inst.exact:
+        if total != 1:
+            problems.append(f"weights sum to {format_number(total)}, expected 1")
+    elif abs(total - 1.0) > FLOAT_SUM_TOL:
+        problems.append(f"weights sum to {total!r}, |sum-1| > {FLOAT_SUM_TOL}")
 
     pairs = tuple(undistinguished_pairs(inst, inst.full_mask))
     if pairs:
@@ -643,22 +638,8 @@ def has_two_sided_test(inst: DTInstance) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# restriction and rounding
+# rounding
 # ----------------------------------------------------------------------------
-
-def restrict(inst: DTInstance, H: SetLike) -> DTInstance:
-    """Induced sub-instance on H: hypotheses reindexed over H, test columns
-    restricted; weights carried over UNNORMALIZED with `norm` = p(H) so cost
-    formulas divide by the subset mass."""
-    mask = inst.as_mask(H)
-    if mask == 0:
-        raise ParameterError("empty restriction")
-    idxs = list(iter_bits(mask))
-    weights = [inst.weights[i] for i in idxs]
-    tests = [[row[i] for i in idxs] for row in inst.tests]
-    parent_ids = tuple(i + 1 for i in idxs)
-    return DTInstance(weights, tests, inst.k, origin=parent_ids)
-
 
 def round_weights(inst: DTInstance) -> DTInstance:
     """Clamp weights up to 1/(n-1)^2 and renormalize.

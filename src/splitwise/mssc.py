@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import BudgetExceededError, FormatError, ParameterError, StructureError
+from .errors import BudgetExceededError, ParameterError, StructureError
 from .greedy import majority_parts
 from .instance import (DTInstance, Number, bit_sum, close, coerce_weights,
-                       content_lines, format_number, iter_bits, left_sum,
-                       parse_number)
+                       iter_bits, left_sum)
 from .tree import DecisionTree, NodeRecord
 
 # budget for the exact search: the covered-state space is bounded by
@@ -44,16 +43,17 @@ class MsscInstance:
     position order.  Elements are arbitrary integer labels; a set member
     outside the universe is refused.  Empty sets are legal members of the
     family (the chain-induced construction keeps per-hypothesis singletons
-    even when empty); they are never useful and never picked.
+    even when empty); they are never useful and never picked.  `sets` keeps
+    each set as a frozenset, in whose iteration order
+    `setcover.max_set_weight` adds weights.
     """
 
-    __slots__ = ("elements", "weights", "sets", "exact", "zero", "_pos",
-                 "set_masks")
+    __slots__ = ("elements", "weights", "sets", "exact", "zero", "set_masks")
 
     def __init__(self, elements: Sequence[int], weights: Sequence[Number],
                  sets: Sequence[Iterable[int]]):
         self.elements = tuple(elements)
-        self._pos = pos = {e: i for i, e in enumerate(self.elements)}
+        pos = {e: i for i, e in enumerate(self.elements)}
         if len(pos) != len(self.elements):
             raise ParameterError("duplicate universe elements")
         if len(weights) != len(self.elements):
@@ -126,54 +126,6 @@ class MsscInstance:
             order.append(best_j)
             covered |= self.set_masks[best_j - 1]
         return order
-
-    # -- text format --------------------------------------------------------
-    # header `|S| M`, a line of |S| weights, then M set lines listing 1-based
-    # element positions ('-' for the empty set)
-
-    def to_text(self) -> str:
-        lines = [f"{self.n_elements} {self.n_sets}"]
-        lines.append(" ".join(format_number(w) for w in self.weights))
-        for fs in self.sets:
-            ids = sorted(self._pos[e] + 1 for e in fs)
-            lines.append(" ".join(str(i) for i in ids) if ids else "-")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, *, exact: bool = True) -> "MsscInstance":
-        lines = [line for _, line in content_lines(text)]
-        if not lines:
-            raise FormatError("empty MSSC document")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise FormatError(f"header must be '|S| M', got {lines[0]!r}")
-        try:
-            u, m = int(head[0]), int(head[1])
-        except ValueError as exc:
-            raise FormatError(f"header must be '|S| M', got {lines[0]!r}") from exc
-        if min(u, m) < 0:
-            raise FormatError(f"negative count in header {lines[0]!r}")
-        if len(lines) != 2 + m:
-            raise FormatError(f"expected {2 + m} content lines, found {len(lines)}")
-        wtoks = lines[1].split()
-        if len(wtoks) != u:
-            raise FormatError(f"expected {u} weights, found {len(wtoks)}")
-        weights = [parse_number(t, exact=exact) for t in wtoks]
-        sets = []
-        for i in range(m):
-            toks = lines[2 + i].split()
-            if toks == ["-"]:
-                sets.append(frozenset())
-                continue
-            try:
-                members = [int(t) for t in toks]
-            except ValueError as exc:
-                raise FormatError(f"set {i + 1}: {exc}") from exc
-            for e in members:
-                if not 1 <= e <= u:
-                    raise FormatError(f"set {i + 1}: element {e} outside 1..{u}")
-            sets.append(frozenset(members))
-        return cls(tuple(range(1, u + 1)), weights, sets)
 
     def __repr__(self) -> str:
         return f"MsscInstance(|S|={self.n_elements}, M={self.n_sets})"

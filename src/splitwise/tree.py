@@ -14,9 +14,10 @@ Every builder is a split rule handed to `grow`: greedy, the exact and
 depth-budgeted optimum, the fulltree driver, the rounding audit's random
 trees and the grid certificate differ only in how they pick the test at a
 set, which `grow` cuts into its parts with `DTInstance.split`.  Every
-rebuild (a parsed document, a corrupted copy) writes entries.  No builder
-and no walker recurses, so chain-shaped trees thousands of levels deep
-round-trip through text and JSON.
+rebuild (a parsed document, a corrupted copy) writes entries; a document's
+sets are rebuilt from all of its instance's hypotheses.  No builder and no
+walker recurses, so chain-shaped trees thousands of levels deep round-trip
+through text and JSON.
 
 Two cost routes are kept deliberately separate so they can cross-check each
 other: `cost` replays H's answer sets down the tree in one preorder pass,
@@ -192,17 +193,14 @@ class DecisionTree:
 # consistency sets
 # ----------------------------------------------------------------------------
 
-def recompute_masks(tree: DecisionTree, inst: DTInstance, H: SetLike = None) -> dict[int, int]:
-    """Path-replay oracle: rebuild every L(v) from the instance alone."""
-    masks: dict[int, int] = {}
-    root_mask = inst.as_mask(H) if H is not None else tree.root.mask
-    for rec in tree.records:
-        if rec.parent_id is None:
-            masks[rec.id] = root_mask
-        else:
-            parent_mask = masks[rec.parent_id]
-            pre = inst.answer_mask(tree.records[rec.parent_id].test, rec.parent_answer)
-            masks[rec.id] = parent_mask & pre
+def recompute_masks(tree: DecisionTree, inst: DTInstance) -> dict[int, int]:
+    """Path-replay oracle: rebuild every L(v) from the root's set and the
+    instance alone."""
+    recs = tree.records
+    masks = {0: tree.root.mask}
+    for rec in recs[1:]:
+        pre = inst.answer_mask(recs[rec.parent_id].test, rec.parent_answer)
+        masks[rec.id] = masks[rec.parent_id] & pre
     return masks
 
 
@@ -368,7 +366,7 @@ def is_complete(tree: DecisionTree, inst: DTInstance, H: SetLike = None,
 def interior_weight_sum(tree: DecisionTree, inst: DTInstance) -> Number:
     """Sum of p(v) over interior vertices; equals the cost exactly on complete
     trees (both computed against the tree's own root set)."""
-    if not is_complete(tree, inst, H=tree.root.mask, b=None):
+    if not is_complete(tree, inst):
         raise IncompleteTreeError("identity requires completeness")
     return inst.num_to_weight(left_sum(
         (inst.mask_num(rec.mask) for rec in tree.interior_records()), 0))
@@ -402,14 +400,15 @@ def tree_to_json_obj(tree: DecisionTree) -> dict:
     return objs[0]
 
 
-def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionTree:
+def _attach_masks(shape: Entries, inst: DTInstance) -> DecisionTree:
     """Check a shape read from a document (entries whose masks are still
-    None) against the instance, fill in every mask top-down, and index the
-    tree.  Two children on one answer raise FormatError."""
+    None) against the instance, fill in every mask top-down from all of its
+    hypotheses, and index the tree.  Two children on one answer raise
+    FormatError."""
     tests, masks, parents, answers = shape.tests, shape.masks, shape.parents, shape.answers
     taken = [0] * len(tests)    # per entry, a bit for each child answer seen
     for idx, (test, parent, answer) in enumerate(zip(tests, parents, answers)):
-        mask = root_mask
+        mask = inst.full_mask
         if parent is not None:
             ptest = tests[parent]
             if ptest is None:
@@ -435,21 +434,21 @@ def _attach_masks(shape: Entries, inst: DTInstance, root_mask: int) -> DecisionT
     return DecisionTree(shape)
 
 
-def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTree:
-    """Parse the preorder text form; consistency sets are recomputed against
-    `inst` (and `H` as the root set, default full)."""
+def tree_from_text(text: str, inst: DTInstance) -> DecisionTree:
+    """Parse the preorder text form, a leaf line of 4 tokens or a test line
+    of 5 per node; consistency sets are recomputed against `inst`."""
     shape = Entries()
     path: list[int] = []    # entry index of the open ancestor at each depth
     for lineno, line in content_lines(text):
         toks = line.split()
         try:
             depth = int(toks[1])
-            if toks[2] == "leaf":
+            if toks[2] == "leaf" and len(toks) == 4:
                 test, ptok = None, toks[3]
-            elif toks[2] == "test":
+            elif toks[2] == "test" and len(toks) == 5:
                 test, ptok = int(toks[3]), toks[4]
             else:
-                raise ValueError(f"unknown kind {toks[2]!r}")
+                raise ValueError("not a leaf line of 4 tokens or a test line of 5")
             pans = None if ptok == "-" else int(ptok)
         except (IndexError, ValueError) as exc:
             raise FormatError(f"tree line {lineno}: {exc}") from exc
@@ -465,10 +464,12 @@ def tree_from_text(text: str, inst: DTInstance, H: SetLike = None) -> DecisionTr
         path.append(pos)
     if not path:
         raise FormatError("empty tree document")
-    return _attach_masks(shape, inst, inst.as_mask(H))
+    return _attach_masks(shape, inst)
 
 
-def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> DecisionTree:
+def tree_from_json_obj(obj: dict, inst: DTInstance) -> DecisionTree:
+    """Parse the nested JSON form, where a leaf is `{"leaf": true}`;
+    consistency sets are recomputed against `inst`."""
     shape = Entries()
     stack = [(obj, None, None)]
     while stack:
@@ -476,7 +477,9 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
         if not isinstance(o, dict):
             raise FormatError("tree nodes must be objects")
         kids = []
-        if o.get("leaf"):
+        if "leaf" in o:
+            if o["leaf"] is not True:
+                raise FormatError(f"'leaf' must be true, got {o['leaf']!r}")
             if "test" in o or "children" in o:
                 raise FormatError("leaf nodes carry no 'test' or 'children'")
             test = None
@@ -491,4 +494,4 @@ def tree_from_json_obj(obj: dict, inst: DTInstance, H: SetLike = None) -> Decisi
                 raise FormatError(f"bad interior node: {exc}") from exc
         idx = shape.add(test, None, parent, answer)
         stack.extend((sub, idx, a) for a, sub in reversed(kids))
-    return _attach_masks(shape, inst, inst.as_mask(H))
+    return _attach_masks(shape, inst)

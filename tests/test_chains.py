@@ -226,7 +226,7 @@ def test_heavy_paths_contiguous_on_corpus():
 class TestBoundEvaluators:
     def test_general_form_frozen_value(self):
         # uniform n=1024, C_opt=32: (12*10/5 + ln 1) * 32 = 768
-        val = theorem1_bound(1024, Fraction(1, 1024), Fraction(1, 1024), 32)
+        val = theorem1_bound(Fraction(1, 1024), Fraction(1, 1024), 32)
         assert abs(val - 768.0) < TOL
 
     def test_uniform_binary_frozen_value(self):
@@ -234,25 +234,21 @@ class TestBoundEvaluators:
 
     def test_ratio_term(self):
         # p_max/p_min = e shifts the bound by exactly C_opt
-        base = theorem1_bound(16, Fraction(1, 16), Fraction(1, 16), 4)
-        bumped = theorem1_bound(16, 0.0625, 0.0625 * math.e, 4)
+        base = theorem1_bound(Fraction(1, 16), Fraction(1, 16), 4)
+        bumped = theorem1_bound(0.0625, 0.0625 * math.e, 4)
         assert abs(bumped - (base + 4.0)) < 1e-6
 
     def test_rejects_trivial_costs(self):
         with pytest.raises(ParameterError):
-            theorem1_bound(4, Fraction(1, 4), Fraction(1, 4), 1)
+            theorem1_bound(Fraction(1, 4), Fraction(1, 4), 1)
         with pytest.raises(ParameterError):
             uniform_binary_bound(4, Fraction(1, 2))
 
     def test_choose_delta(self):
-        d, proxy = choose_delta(c_opt=Fraction(5, 2))
-        assert d == Fraction(2, 5) and not proxy
-        d, proxy = choose_delta(c_g=4.0)
-        assert d == 0.25 and proxy
+        assert choose_delta(Fraction(5, 2)) == Fraction(2, 5)
+        assert choose_delta(4.0) == 0.25
         with pytest.raises(ParameterError):
-            choose_delta()
-        with pytest.raises(ParameterError):
-            choose_delta(c_opt=1)
+            choose_delta(1)
 
     def test_greedy_cost_under_general_bound_corpus(self):
         rng = random.Random(84)
@@ -266,7 +262,7 @@ class TestBoundEvaluators:
             if copt <= 1:
                 continue
             cg = cost(build_greedy_tree(inst), inst).total
-            bound = theorem1_bound(inst.n, inst.p_min, inst.p_max, copt)
+            bound = theorem1_bound(inst.p_min, inst.p_max, copt)
             assert float(cg) <= bound + TOL, (
                 f"C_G={cg} exceeded the guarantee {bound}"
             )
@@ -308,7 +304,7 @@ def test_imbalanced_audit_on_corpus():
         if copt <= 1:
             continue
         tree = build_greedy_tree(inst)
-        delta, _ = choose_delta(c_opt=copt)
+        delta = choose_delta(copt)
         lines = imbalanced_audit(tree, inst, delta, copt)
         assert all_pass(lines), (
             "; ".join(str(l) for l in lines if not l.passed)
@@ -343,7 +339,7 @@ def test_chain_mssc_audit_on_corpus():
         if copt <= 1:
             continue
         tree = build_greedy_tree(inst)
-        delta, _ = choose_delta(c_opt=copt)
+        delta = choose_delta(copt)
         lines = chain_mssc_audit(tree, inst, delta, copt)
         assert all_pass(lines), "; ".join(str(l) for l in lines if not l.passed)
         if has_two_sided_test(inst):
@@ -365,7 +361,7 @@ def test_level_sum_demoted_on_isolation_instances():
     copt = optimal_cost(inst)
     assert copt == Fraction(9, 4)
     tree = build_greedy_tree(inst)
-    delta, _ = choose_delta(c_opt=copt)
+    delta = choose_delta(copt)
     lines = chain_mssc_audit(tree, inst, delta, copt)
     level_lines = [l for l in lines if l.name == "level_mssc"]
     assert level_lines

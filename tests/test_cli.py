@@ -296,10 +296,11 @@ class TestGen:
         assert rc == EXIT_INVALID
         assert err.startswith("invalid input") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("r", ["1e-300", "0.01"])
+    @pytest.mark.parametrize("r", ["1e-300", "0.01", "0.02", "0.05"])
     def test_reduction_too_small_r_exits_2(self, capsys, r):
         """n0^(1/r) overflows a float at 1e-300; at 0.01 it asks for about
-        1.3e30 hypotheses, more than any list holds."""
+        1.3e30 hypotheses, more than any list holds; at 0.02 and 0.05, for
+        about 3.8e30 and 3.2e12 answers, above MAX_REDUCTION_ANSWERS."""
         rc = main(["gen", "reduction", "--n0", "2", "--sets", "1;2",
                    "--r", r])
         err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from splitwise import (
     BudgetExceededError,
     DTInstance,
     ExactSolver,
+    InvalidInstanceError,
     ParameterError,
     build_greedy_tree,
     cost,
@@ -240,6 +241,28 @@ def test_budget_outside_its_range_is_refused():
     assert ExactSolver(inst, budget_ms=math.inf).optimal_cost() == optimal_cost(inst)
 
 
+def test_undistinguished_instance_is_refused():
+    """Hypotheses 2 and 3 answer alike on every test: the solver, each of
+    its operations and each module wrapper raise, naming the pair, even over
+    a set such as {1, 4} that holds neither."""
+    inst = DTInstance([Fraction(1, 4)] * 4, [(1, 2, 2, 1), (1, 1, 1, 2)], 2)
+    calls = {
+        "ExactSolver": lambda: ExactSolver(inst),
+        "partial_tree": lambda: partial_tree(inst, None, 1),
+        "partial_tree on {1, 4}": lambda: partial_tree(inst, [1, 4], 2),
+        "partial_cost": lambda: ExactSolver(inst).partial_cost(None, 2),
+        "optimal_tree": lambda: optimal_tree(inst),
+        "optimal_tree on {1, 4}": lambda: optimal_tree(inst, [1, 4]),
+        "optimal_cost": lambda: optimal_cost(inst),
+        "optimal_cost on {1, 4}": lambda: optimal_cost(inst, [1, 4]),
+    }
+    for what, call in calls.items():
+        with pytest.raises(InvalidInstanceError) as ei:
+            call()
+        assert ei.value.undistinguished == (2, 3), what
+        assert str(ei.value) == "hypotheses 2 and 3 are undistinguished", what
+
+
 def test_memo_reuse_across_calls():
     rng = random.Random(49)
     inst = random_valid_instance(rng, 7, 5, 2)
@@ -311,18 +334,6 @@ class UnprunedSolver:
         return grow(self.inst, self.inst.full_mask, rule, b)
 
 
-def _undistinguished_instance(rng: random.Random, n: int, K: int) -> DTInstance:
-    """Few tests over n hypotheses: some pairs stay undistinguished."""
-    while True:
-        ws = [Fraction(rng.randrange(1, 9)) for _ in range(n)]
-        total = sum(ws)
-        tests = [tuple(rng.randrange(1, K + 1) for _ in range(n))
-                 for _ in range(rng.randrange(1, 4))]
-        inst = DTInstance([w / total for w in ws], tests, K)
-        if any(undistinguished_pairs(inst, inst.full_mask)):
-            return inst
-
-
 def _differential_corpus():
     rng = random.Random(51)
     cases = [("grid16", gen_grid_adversarial(16, 4))]
@@ -333,10 +344,6 @@ def _differential_corpus():
         inst = gen_random(n, rng.randrange(6, 10), K, seed=rng.randrange(10**6),
                           profile=profile, ratio=rng.choice([2, 8]))
         cases.append((f"{profile} n={n} K={K}", inst))
-    for idx in range(8):
-        inst = _undistinguished_instance(rng, rng.randrange(3, 10),
-                                         rng.choice([2, 3]))
-        cases.append((f"undistinguished {idx}", inst))
     for idx in range(6):    # wide K: parts of many answers in _expand
         n = rng.randrange(6, 11)
         K = rng.choice([5, 7, 12])
@@ -426,9 +433,9 @@ def test_exact_partition_duplicate_keeps_the_first_test():
 
 @pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
 def test_exact_budget2_reads_no_part_sums(monkeypatch, float_mode):
-    """On a bounded instance in exact mode `_shallow(mask, 2)` weighs only
-    the set itself and never iterates `_partitions`; float mode still sums
-    its parts over the distinct partitions."""
+    """In exact mode `_shallow(mask, 2)` weighs only the set itself and
+    never iterates `_partitions`; float mode still sums its parts over the
+    distinct partitions."""
     inst = gen_random(8, 6, 2, 3)
     if float_mode:
         inst = inst.as_float()
@@ -445,7 +452,6 @@ def test_exact_budget2_reads_no_part_sums(monkeypatch, float_mode):
         return mask_num(self, m)
 
     solver = ExactSolver(inst)
-    assert solver._bounded
     monkeypatch.setattr(ExactSolver, "_partitions", counted_partitions)
     monkeypatch.setattr(DTInstance, "mask_num", counted_mask_num)
     got = solver._shallow(mask, 2)
@@ -477,15 +483,16 @@ def test_depth4_partial_is_cheap_in_both_modes(float_mode):
 
 def test_uniform_bounds_match_the_general_formulas():
     """The O(log |H|) uniform closed forms equal the heap / prefix-sum bounds
-    run on the same weights, every set size and budget up to 40."""
+    run on the same weights, every set size and budget up to 40.  The tests
+    read the index's base-K digits, so that every pair is told apart; the
+    bounds read only the weights."""
     for K in (2, 3, 4):
-        tests = [tuple(h % K + 1 for h in range(40))]
+        tests = [tuple(h // K**d % K + 1 for h in range(40)) for d in range(6)]
         uniform = DTInstance([Fraction(1, 40)] * 40, tests, K)
         # raw weights all 1 but for the last, which no set below contains
         general = DTInstance([Fraction(1, 41)] * 39 + [Fraction(2, 41)], tests, K)
         assert uniform.uniform and not general.uniform
         a, g = ExactSolver(uniform), ExactSolver(general)
-        a._bounded = g._bounded = True      # the bounds read only the weights
         for s in range(2, 40):
             mask = (1 << s) - 1
             for b in range(1, s):
@@ -494,14 +501,15 @@ def test_uniform_bounds_match_the_general_formulas():
 
 def test_huffman_bound_matches_a_heap_reference():
     """The two-queue merge is K-ary Huffman: same cost as merging the K
-    lightest from a heap, on skewed weights and every subset size."""
+    lightest from a heap, on skewed weights and every subset size.  The
+    tests read the index's base-K digits, as above."""
     import heapq
     rng = random.Random(52)
     for K in (2, 3, 4):
         ws = [rng.randrange(1, 100) for _ in range(30)]
-        inst = DTInstance([Fraction(w, sum(ws)) for w in ws], [(1,) * 30], K)
+        tests = [tuple(h // K**d % K + 1 for h in range(30)) for d in range(5)]
+        inst = DTInstance([Fraction(w, sum(ws)) for w in ws], tests, K)
         solver = ExactSolver(inst)
-        solver._bounded = True      # the bounds read only the weights
         for s in range(2, 31):
             heap = [0] * (-(s - 1) % (K - 1)) + ws[:s]
             heapq.heapify(heap)

@@ -17,9 +17,9 @@ from splitwise import (
     DTInstance,
     ExactSolver,
     FullTreeConfig,
+    InvalidInstanceError,
     NonUniformError,
     ParameterError,
-    StructureError,
     all_pass,
     approximation_factor,
     audit_trace,
@@ -274,15 +274,14 @@ def test_calls_run_in_the_output_tree_preorder():
 
 
 def test_multi_hypothesis_leaf_above_the_budget_raises():
-    """Hypotheses 1 and 2 answer alike on both tests, so the depth-3
-    expansion leaves them together at depth 1; the driver refuses to
-    recurse on a set that no test splits."""
+    """Hypotheses 1 and 2 answer alike on both tests, so no tree can leave
+    them apart: the driver's exact solver refuses the instance."""
     from splitwise.fulltree import _Driver
     inst = DTInstance([Fraction(1, 4)] * 4, [(1, 1, 2, 2), (1, 1, 1, 2)], 2)
-    driver = _Driver(inst, FullTreeConfig(alpha=0.5, mode="uniform", n0=12,
-                                          b=3, threshold=1e9))
-    with pytest.raises(StructureError, match="above the depth budget"):
-        driver.solve(inst.full_mask, 0)
+    with pytest.raises(InvalidInstanceError) as ei:
+        _Driver(inst, FullTreeConfig(alpha=0.5, mode="uniform", n0=12,
+                                     b=3, threshold=1e9))
+    assert ei.value.undistinguished == (1, 2)
 
 
 def test_small_weight_shortcut_fires():

@@ -1,4 +1,4 @@
-"""Instance container: parsing, masks, validation, restriction, rounding."""
+"""Instance container: parsing, masks, validation, rounding."""
 
 import json
 import math
@@ -20,7 +20,6 @@ from splitwise import (
     format_number,
     members_of,
     parse_number,
-    restrict,
     round_weights,
     undistinguished_pairs,
     validate_instance,
@@ -608,12 +607,16 @@ def test_undistinguished_pairs_reported_and_raised():
     inst = DTInstance([Fraction(1, 5)] * 5, [(1, 2, 1, 1, 2), (1, 1, 1, 1, 1)], 2)
     report = validate_instance(inst)
     assert report.undistinguished == ((1, 3), (3, 4), (2, 5))
-    # solvers over a subset raise on its first clashing pair
-    for solve in (build_greedy_tree, optimal_tree):
-        with pytest.raises(InvalidInstanceError) as ei:
-            solve(inst, [2, 3, 4, 5])
-        assert ei.value.undistinguished == (3, 4)
+    # greedy over a subset raises on the subset's first clashing pair
+    with pytest.raises(InvalidInstanceError) as ei:
+        build_greedy_tree(inst, [2, 3, 4, 5])
+    assert ei.value.undistinguished == (3, 4)
     build_greedy_tree(inst, [1, 2])          # a distinguished subset is fine
+    # exact search refuses the instance, whatever the subset
+    for subset in ([2, 3, 4, 5], [1, 2]):
+        with pytest.raises(InvalidInstanceError) as ei:
+            optimal_tree(inst, subset)
+        assert ei.value.undistinguished == (1, 3)
 
 
 @pytest.mark.parametrize("K", [2, 3, 300])
@@ -681,45 +684,6 @@ def test_require_valid_raises():
     from splitwise import require_valid
     with pytest.raises(InvalidInstanceError):
         require_valid(DTInstance([Fraction(1, 3)] * 3, [(1, 1, 2)], 2))
-
-
-# ---------------------------------------------------------------------------
-# restriction
-# ---------------------------------------------------------------------------
-
-def test_restrict_full_set_is_identity_up_to_reindex():
-    inst = quarter_instance()
-    sub = restrict(inst, [1, 2, 3, 4])
-    assert sub.n == 4
-    assert [sub.weight_of(h) for h in range(1, 5)] == [Fraction(1, 4)] * 4
-    assert sub.tests == inst.tests
-
-
-def test_restrict_pair_keeps_raw_weights():
-    inst = quarter_instance()
-    sub = restrict(inst, [1, 2])
-    assert sub.n == 2
-    # weights stay unnormalized; the normalizer p(H)=1/2 lives in cost()
-    assert sub.weights == (Fraction(1, 4), Fraction(1, 4))
-    assert sub.norm == Fraction(1, 2)
-    assert sub.origin == (1, 2)
-    # restricted instances skip the sum-to-1 check (origin marks them induced)
-    assert validate_instance(sub).ok
-    # test rows keep only the surviving columns
-    assert sub.tests[0] == (1, 1)
-    assert sub.tests[1] == (1, 2)
-
-
-def test_restrict_preserves_weight_ratio_bound():
-    rng = random.Random(14)
-    for _ in range(40):
-        inst = random_valid_instance(rng, rng.randrange(4, 9), 5, 2)
-        R = inst.weight_ratio()
-        mask = rng.randrange(1, inst.full_mask + 1)
-        if mask.bit_count() < 2:
-            continue
-        sub = restrict(inst, mask)
-        assert sub.weight_ratio() <= R
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,9 @@ def test_malformed_tree_text_rejected():
         "non-ASCII answer": "0 0 test 1 -\n1 1 leaf 1\n1 1 leaf \u0662\n",
         "underscore answer": "0 0 test 1 -\n1 1 leaf 1\n1 1 leaf 0_2\n",
         "repeated child answer": "0 0 test 1 -\n1 1 leaf 1\n2 1 leaf 1\n",
+        "trailing token on the root leaf": "0 0 leaf - x\n",
+        "trailing token on a leaf": "0 0 test 1 -\n1 1 leaf 1\n2 1 leaf 2 extra\n",
+        "trailing token on a test": "0 0 test 1 - 1\n1 1 leaf 1\n2 1 leaf 2\n",
     }
     for what, text in bad_docs.items():
         with pytest.raises(FormatError):
@@ -308,6 +311,9 @@ def test_malformed_tree_text_rejected():
     {"leaf": True, "children": [[1, {"leaf": True}], [2, {"leaf": True}]]},
     {"leaf": True, "children": [[1, "not a node"]]},
     {"leaf": True, "test": 1},
+    {"leaf": 1},
+    {"leaf": "yes"},
+    {"test": 1, "children": [[1, {"leaf": 1}], [2, {"leaf": True}]]},
     {"test": 1, "children": [[1, {"leaf": True}], [2, {"leaf": True}],
                              [1, {"leaf": True}]]},
 ])
