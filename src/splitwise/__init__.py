@@ -11,11 +11,11 @@ seeded battery; `cli` exposes everything as a command line tool.
 from .errors import (BudgetExceededError, FormatError, GenerationError,
                      IncompleteTreeError, InvalidInstanceError,
                      NonUniformError, ParameterError, SplitwiseError,
-                     StructureError, UnsplittableSetError)
+                     StructureError)
 from .instance import (DTInstance, ValidationReport, format_number,
                        has_two_sided_test, iter_bits, members_of,
                        parse_number, round_weights,
-                       require_distinguishable, require_valid,
+                       require_solvable, require_valid,
                        undistinguished_pairs, validate_instance)
 from .tree import (CostBreakdown, DecisionTree, Entries, NodeRecord, cost,
                    depth_of, grow, interior_weight_sum, is_complete,

@@ -457,7 +457,7 @@ def run_battery(seed: int = 0, only=None, float_mode: bool = False,
     they are recomputed on parse.  Asking for inject_fault without the
     identity family is a ParameterError, since nothing would be corrupted.
     """
-    if only:
+    if only is not None:
         wanted = [name for name in FAMILIES
                   if any(sel in name for sel in only)]
         if not wanted:

@@ -119,6 +119,8 @@ def _fulltree_config(inst, args) -> FullTreeConfig:
 
 
 def cmd_solve(args) -> int:
+    if args.max_depth is not None and args.algo != "partial":
+        raise ParameterError("--max-depth applies to --algo partial only")
     inst = DTInstance.from_path(args.instance, exact=not args.float)
     report = validate_instance(inst)
     if not report.ok:
@@ -358,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ratio-bound", dest="ratio_bound", type=float)
     s.add_argument("--n0", type=int, default=12,
                    help="fulltree-uniform brute-force threshold")
-    s.add_argument("--max-depth", dest="max_depth", type=int)
+    s.add_argument("--max-depth", dest="max_depth", type=int,
+                   help="depth budget b (partial only; default n-1)")
     s.add_argument("--float", action="store_true")
     s.add_argument("--timings", action="store_true")
     s.add_argument("--out", help="tree output path")

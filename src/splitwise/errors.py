@@ -27,10 +27,6 @@ class InvalidInstanceError(SplitwiseError):
         self.undistinguished = undistinguished
 
 
-class UnsplittableSetError(SplitwiseError):
-    """No test splits the current hypothesis set (only possible on invalid instances)."""
-
-
 class IncompleteTreeError(SplitwiseError):
     """An operation that requires a complete tree was handed a truncated one."""
 

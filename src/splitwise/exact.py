@@ -9,8 +9,11 @@ Recurrence.  Over a hypothesis set H with remaining depth budget b,
 where f is the unnormalized cost sum Σ_h p_h·d(h) in raw numerator units
 (`DTInstance.mask_num`) and j ranges over tests that actually split H,
 deduplicated by the partition they induce.  The chosen test is the
-lowest-index j of minimum cost.  The solver refuses an instance with
-undistinguished pairs, so some test splits every set of two or more.
+lowest-index j of minimum cost.  The solver refuses every instance that
+`instance.require_solvable` refuses.  So some test splits every set of two
+or more, and every weight is finite and >= 0, as both bounds below need: a
+longer code word for a negative weight costs less, c or more members can
+weigh less than the c lightest, and a NaN or inf weight poisons every sum.
 
 Memo key.  Every part of a split is strictly smaller than its set, so along a
 path the set shrinks by one or more per level and a budget b >= |H| - 1 never
@@ -77,7 +80,7 @@ from itertools import accumulate
 
 from .errors import BudgetExceededError, ParameterError
 from .instance import (REL_TOL, DTInstance, Number, SetLike, iter_bits,
-                       require_distinguishable)
+                       require_solvable)
 from .tree import DecisionTree, grow
 
 
@@ -96,14 +99,14 @@ class ExactSolver:
     and every candidate scored.  Either limit raises BudgetExceededError
     carrying the counter so callers can report partial statistics.  A
     negative or NaN budget is a ParameterError; inf sets no deadline.  An
-    instance with undistinguished pairs raises InvalidInstanceError.
+    instance that `require_solvable` refuses raises its InvalidInstanceError.
     """
 
     def __init__(self, inst: DTInstance, *, max_expansions: int | None = None,
                  budget_ms: float | None = None):
         if budget_ms is not None and not 0 <= budget_ms:    # NaN fails too
             raise ParameterError(f"wall-clock budget must be >= 0 ms, got {budget_ms}")
-        require_distinguishable(inst, inst.full_mask)
+        require_solvable(inst)
         self.inst = inst
         self.memo: dict[tuple[int, int], tuple] = {}
         self.stats = SearchStats()

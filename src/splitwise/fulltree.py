@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NonUniformError, ParameterError, StructureError
+from .errors import NonUniformError, ParameterError
 from .exact import ExactSolver
 from .greedy import build_greedy_node
 from .instance import DTInstance, Number, close, left_sum, log2, require_valid
@@ -189,7 +189,11 @@ class _Driver:
 
     def _call(self, mask: int, level: int) -> dict[int, int]:
         """Record one call; returns set -> test over the interior of the tree
-        it keeps: the greedy tree, or its depth-b partial tree."""
+        it keeps: the greedy tree, or its depth-b partial tree.
+
+        The driver's ExactSolver refused every instance `require_solvable`
+        refuses, so greedy leaves only singletons, and a partial tree leaves
+        larger sets only at depth b: the sets `_split` misses."""
         trace, inst, size = self.trace, self.inst, mask.bit_count()
         if trace.cfg.mode == UNIFORM and size < trace.cfg.n0:
             tree = self.solver.partial_tree(mask, max(size - 1, 0))
@@ -206,10 +210,6 @@ class _Driver:
             pcost = self.solver.partial_cost(mask, trace.b)
         trace.records.append(CallRecord(
             level, mask, inst.mask_weight(mask), decision, gcost, pcost))
-        for rec in tree.leaves():
-            if rec.mask & (rec.mask - 1) and rec.depth != trace.b:
-                raise StructureError("multi-hypothesis leaf above the depth "
-                                     "budget: set has no splitting test")
         return {rec.mask: rec.test for rec in tree.interior_records()}
 
 
@@ -222,10 +222,11 @@ def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,
     a later `solver.optimal_cost()` reuses the driver's subproblems, and
     the solver's budgets bound the driver and that call together.
 
-    Uniform mode needs uniform weights.  General mode errors out before
-    solving if the instance's actual weight ratio exceeds the promised
-    ratio_bound — the guarantee would be void.
+    `require_valid` is checked first.  Uniform mode needs uniform weights.
+    General mode errors out before solving if the instance's actual weight
+    ratio exceeds the promised ratio_bound — the guarantee would be void.
     """
+    require_valid(inst)
     if cfg.mode == UNIFORM:
         if not inst.uniform:
             raise NonUniformError("uniform solver needs uniform weights")
@@ -233,7 +234,6 @@ def full_tree(inst: DTInstance, cfg: FullTreeConfig, *,
         raise ParameterError(
             f"weight ratio {inst.weight_ratio()} exceeds the promised bound "
             f"{cfg.ratio_bound}")
-    require_valid(inst)
     driver = _Driver(inst, cfg, solver)
     tree = driver.solve(inst.full_mask, 0)
     breakdown = cost(tree, inst)

@@ -12,9 +12,13 @@ by `DTInstance.mask_num`, which adds raw weights in ascending hypothesis
 order from the mode's zero (count times the common weight on uniform
 instances).  That is the one order a set is weighed in.
 
+Every entry refuses at once the weights `require_solvable` refuses, and
+scans for pairs that no test separates only at a set that no test splits,
+naming the instance's first: a valid instance is never scanned.
+
 The greedy choice itself needs only each test's max part.  A tree over a
-root of PACKED_ROOT_MIN or more members, on an instance with non-uniform,
-non-negative, finite weights and K <= 255, weighs its sets of
+root of PACKED_ROOT_MIN or more members, on an instance with non-uniform
+weights and K <= 255, weighs its sets of
 PACKED_SET_MIN or more members on the packed route; every other set is
 weighed by `_greedy_split`.  Below about 128 root members the codes cost
 more to build than the route saves (measured on skew and two-tier trees).
@@ -79,9 +83,7 @@ adding a non-negative float never rounds below an addend.  The stop only
 skips work.  A weighed test's max part is `_uniform_weigher`'s count times
 the common weight, or `_member_weigher`'s one scan over the set's members,
 the one fast copy of `mask_num`'s sum; tests pin both to `majority_parts`
-bit for bit, so float trees keep every bit of its sums.  The bound rests on
-non-negative, finite weights; an instance with a negative or non-finite
-weight is weighed by `majority_parts` in full.
+bit for bit, so float trees keep every bit of its sums.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ from itertools import compress, repeat
 from operator import ge, gt, sub
 from struct import Struct
 
-from .errors import StructureError, UnsplittableSetError
-from .instance import DTInstance, SetLike, iter_bits, require_distinguishable
+from .errors import ParameterError, StructureError
+from .instance import DTInstance, SetLike, iter_bits, require_solvable
 from .tree import DecisionTree, grow
 
 # the packed route's thresholds (module docstring): the fewest members of a
@@ -141,7 +143,7 @@ def _greedy_split(inst: DTInstance, smask: int, tests) -> tuple[int, list[int]]:
     if count == 2:
         # every test that splits a pair parts it into the same two
         # singletons, so whatever the weights, the first such test is the
-        # choice; with none, the weighing below raises
+        # choice; with none, the weighing below finds no split
         low = smask & -smask
         a, b = low.bit_length() - 1, smask.bit_length() - 1
         rows = inst.tests
@@ -150,19 +152,15 @@ def _greedy_split(inst: DTInstance, smask: int, tests) -> tuple[int, list[int]]:
             if row[a] != row[b]:
                 return j, tests[pos + 1:]
     wn = inst._wnum
-    if not inst._nonnegative:       # no lower bound holds: weigh every test
-        nums = [num for _, _, num in majority_parts(inst, smask, tests)]
-        choice = _settle(tests, dict(zip(tests, nums)).__getitem__, None)
-    elif inst._uniform:
+    if inst._uniform:
         choice = _settle(tests, _uniform_weigher(inst, smask, count),
                          -(-count // inst.k) * wn[0])
     else:
         members = list(iter_bits(smask))
         choice = _settle(tests, _member_weigher(inst, smask, members),
                          max(map(wn.__getitem__, members)))
-    if choice is None:
-        raise UnsplittableSetError(
-            f"instance invalid at set of size {count}: no test splits it")
+    if choice is None:      # two members that no test separates
+        require_solvable(inst)
     return choice
 
 
@@ -171,9 +169,9 @@ def _settle(tests, weigh, lb):
     numerator units or None when j does not split the set, as
     `_greedy_split` returns it; None when no test splits the set.
 
-    `lb` is a lower bound on every test's max part, or None.  The first test
-    that reaches it is optimal and wins the tie rule, so the tests after it
-    are not weighed.
+    `lb` is a lower bound on every test's max part.  The first test that
+    reaches it is optimal and wins the tie rule, so the tests after it are
+    not weighed.
     """
     best_j = 0
     best_num = None
@@ -241,17 +239,18 @@ def _member_weigher(inst: DTInstance, smask: int, members: list[int]):
 def greedy_choice(inst: DTInstance, S: SetLike) -> int:
     """The greedy test at S: argmin over splitting tests of the max part
     weight, smallest index on ties."""
+    if not inst._nonnegative:
+        require_solvable(inst)
     smask = inst.as_mask(S)
     if smask.bit_count() < 2:
-        raise UnsplittableSetError("greedy choice needs at least two hypotheses")
+        raise ParameterError("greedy choice needs at least two hypotheses")
     return _greedy_split(inst, smask, range(1, inst.m + 1))[0]
 
 
 def build_greedy_node(inst: DTInstance, smask: int) -> DecisionTree:
-    """Greedy subtree over a raw bitmask (no validity pre-check): `grow` with
-    the greedy split as its rule (`_greedy_rule`).  No reference to the rule
-    is kept here, so that `grow` frees it, and its packed codes, before it
-    indexes the tree.
+    """Greedy subtree over a raw bitmask: `grow` with the greedy split as its
+    rule (`_greedy_rule`).  No reference to the rule is kept here, so that
+    `grow` frees it, and its packed codes, before it indexes the tree.
 
     The rule's context is the list of tests a set is weighed with: the
     tests that split its parent, less the parent's own test, since a test
@@ -260,6 +259,8 @@ def build_greedy_node(inst: DTInstance, smask: int) -> DecisionTree:
     and are skipped when they do not, so the context changes only the work,
     never the choice.
     """
+    if not inst._nonnegative:
+        require_solvable(inst)
     return grow(inst, smask, _greedy_rule(inst, smask), range(1, inst.m + 1))
 
 
@@ -339,8 +340,7 @@ def _packing(inst: DTInstance, root: int):
     part is the whole set may still split it."""
     m, k = inst.m, inst.k
     count = root.bit_count()
-    if (inst._uniform or not inst._nonnegative or k > 255
-            or count < PACKED_ROOT_MIN
+    if (inst._uniform or k > 255 or count < PACKED_ROOT_MIN
             or count * (m * (k - 1) + 1) > PACKED_FIELDS_MAX):
         return None
     members = range(count) if count == inst.n else list(iter_bits(root))
@@ -385,20 +385,9 @@ def _codes(inst: DTInstance, members: list[int], shift: int):
             yield int.from_bytes(buf[at:at + stride], "little") * next(xs)
 
 
-def build_greedy_tree(inst: DTInstance, H: SetLike = None) -> DecisionTree:
-    """T_G over H: complete, greedy at every interior node, deterministic.
-
-    H is checked for two members that no test separates only when greedy
-    meets a set it cannot split, so a valid H is never scanned for pairs:
-    on such an H this raises `require_distinguishable`'s error."""
-    smask = inst.as_mask(H)
-    if smask == 0:
-        raise UnsplittableSetError("cannot build a tree over the empty set")
-    try:
-        return build_greedy_node(inst, smask)
-    except UnsplittableSetError:
-        require_distinguishable(inst, smask)
-        raise
+def build_greedy_tree(inst: DTInstance) -> DecisionTree:
+    """T_G: complete, greedy at every interior node, deterministic."""
+    return build_greedy_node(inst, inst.full_mask)
 
 
 # ----------------------------------------------------------------------------

@@ -325,7 +325,7 @@ class DTInstance:
         w0 = self._wnum[0]
         self._uniform = all(w == w0 for w in self._wnum)
         self.norm = self.num_to_weight(left_sum(self._wnum, 0))
-        # every weight finite and >= 0: what greedy's lower bounds rest on
+        # every weight finite and >= 0: the weights part of `require_solvable`
         self._nonnegative = all(0 <= w < math.inf for w in self._wnum)
         self._answer_masks = tuple(amasks)
 
@@ -564,10 +564,7 @@ def validate_instance(inst: DTInstance) -> ValidationReport:
         problems.append("no tests")
     if inst.k < 2:
         problems.append(f"K={inst.k} < 2")
-    for h, (num, w) in enumerate(zip(inst._wnum, inst.weights), start=1):
-        if not 0 <= num < math.inf:     # NaN fails every comparison
-            kind = "negative" if num < 0 else "non-finite"
-            problems.append(f"{kind} weight p_{h}={format_number(w)}")
+    problems.extend(_weight_problems(inst))
 
     total = inst.norm
     if inst.exact:
@@ -613,11 +610,22 @@ def require_valid(inst: DTInstance) -> None:
         raise InvalidInstanceError("; ".join(report.problems), undistinguished=pair)
 
 
-def require_distinguishable(inst: DTInstance, mask: int) -> None:
-    """Raise InvalidInstanceError on the first pair of
-    `undistinguished_pairs(inst, mask)`: two members of `mask` that no
-    test separates."""
-    pair = next(undistinguished_pairs(inst, mask), None)
+def _weight_problems(inst: DTInstance) -> Iterator[str]:
+    """A message for each negative or non-finite weight, in order."""
+    for h, (num, w) in enumerate(zip(inst._wnum, inst.weights), start=1):
+        if not 0 <= num < math.inf:     # NaN fails every comparison
+            kind = "negative" if num < 0 else "non-finite"
+            yield f"{kind} weight p_{h}={format_number(w)}"
+
+
+def require_solvable(inst: DTInstance) -> None:
+    """Every solver's input contract: raise InvalidInstanceError for the
+    first negative or non-finite weight, with `validate_instance`'s message,
+    else for the first pair of hypotheses that no test separates, named in
+    `.undistinguished`.  Valid weights cost O(1) (`_nonnegative`)."""
+    if not inst._nonnegative:
+        raise InvalidInstanceError(next(_weight_problems(inst)))
+    pair = next(undistinguished_pairs(inst, inst.full_mask), None)
     if pair is not None:
         raise InvalidInstanceError(
             f"hypotheses {pair[0]} and {pair[1]} are undistinguished",

@@ -48,10 +48,25 @@ class TestSolve:
 
     def test_exact_frozen_cost(self, tmp_path, capsys):
         path = write_instance(tmp_path, "perfect4.txt", perfect4_text())
-        rc = main(["solve", path, "--algo", "exact", "--max-depth", "3"])
+        rc = main(["solve", path, "--algo", "exact"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "C_OPT=2" in out
+
+    @pytest.mark.parametrize("algo", [["exact"], ["greedy"],
+                                      ["fulltree", "--alpha", "0.5"],
+                                      ["fulltree-uniform", "--alpha", "0.5"]],
+                             ids=["exact", "greedy", "fulltree", "fulltree-uniform"])
+    def test_max_depth_is_partial_only(self, tmp_path, capsys, algo):
+        """A depth budget would make `exact` print a depth-1 tree's cost as
+        C_OPT, and the other algorithms would ignore it."""
+        path = write_instance(tmp_path, "perfect4.txt", perfect4_text())
+        rc = main(["solve", path, "--max-depth", "1", "--algo", *algo])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INVALID
+        assert "--max-depth applies to --algo partial only" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "perfect4.tree.txt").exists()
 
     def test_partial_label_carries_budget(self, tmp_path, capsys):
         path = write_instance(tmp_path, "perfect4.txt", perfect4_text())
@@ -346,8 +361,11 @@ class TestAudit:
         assert not (tmp_path / "fails").exists()
 
     def test_unknown_family_exit_2(self, capsys):
-        rc = main(["audit", "--only", "no_such_family"])
-        assert rc == EXIT_INVALID
+        # an empty selection matches no family either, rather than all
+        for only in ("no_such_family", "", ","):
+            rc = main(["audit", "--only", only])
+            assert rc == EXIT_INVALID, only
+            assert "no audit family matches" in capsys.readouterr().err, only
 
 
 # ---------------------------------------------------------------------------

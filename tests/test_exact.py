@@ -15,12 +15,16 @@ from splitwise import (
     BudgetExceededError,
     DTInstance,
     ExactSolver,
+    FullTreeConfig,
     InvalidInstanceError,
     ParameterError,
+    build_greedy_node,
     build_greedy_tree,
     cost,
+    full_tree,
     gen_grid_adversarial,
     gen_random,
+    greedy_choice,
     grow,
     is_complete,
     optimal_cost,
@@ -29,6 +33,7 @@ from splitwise import (
     structural_problems,
     tree_to_text,
     undistinguished_pairs,
+    validate_instance,
 )
 from conftest import random_valid_instance
 
@@ -244,9 +249,13 @@ def test_budget_outside_its_range_is_refused():
 def test_undistinguished_instance_is_refused():
     """Hypotheses 2 and 3 answer alike on every test: the solver, each of
     its operations and each module wrapper raise, naming the pair, even over
-    a set such as {1, 4} that holds neither."""
+    a set such as {1, 4} that holds neither.  Greedy, which looks for the
+    pair only at a set no test splits, raises the same error."""
     inst = DTInstance([Fraction(1, 4)] * 4, [(1, 2, 2, 1), (1, 1, 1, 2)], 2)
     calls = {
+        "build_greedy_tree": lambda: build_greedy_tree(inst),
+        "build_greedy_node": lambda: build_greedy_node(inst, inst.full_mask),
+        "greedy_choice on {2, 3}": lambda: greedy_choice(inst, [2, 3]),
         "ExactSolver": lambda: ExactSolver(inst),
         "partial_tree": lambda: partial_tree(inst, None, 1),
         "partial_tree on {1, 4}": lambda: partial_tree(inst, [1, 4], 2),
@@ -261,6 +270,47 @@ def test_undistinguished_instance_is_refused():
             call()
         assert ei.value.undistinguished == (2, 3), what
         assert str(ei.value) == "hypotheses 2 and 3 are undistinguished", what
+
+
+def _bad_weight_instances():
+    """(instance, its first problem): a negative, a NaN or a +inf weight
+    among four hypotheses that two tests tell apart.  The negative weights
+    sum to 1; a Fraction is never NaN or infinite."""
+    tests = [(1, 1, 2, 2), (1, 2, 1, 2)]
+    negative = [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 2), Fraction(1, 4)]
+    yield DTInstance(negative, tests, 2), "negative weight p_2=-1/4"
+    yield (DTInstance([float(w) for w in negative], tests, 2),
+           "negative weight p_2=-0.25")
+    yield DTInstance([0.25, math.nan, 0.25, 0.5], tests, 2), "non-finite weight p_2=nan"
+    yield DTInstance([0.25, 0.25, math.inf, 0.5], tests, 2), "non-finite weight p_3=inf"
+
+
+def test_every_solver_refuses_bad_weights():
+    """Every solver entry raises, before any search, an InvalidInstanceError
+    whose message is `validate_instance`'s first problem.  `full_tree`,
+    which also needs weights that sum to 1, lists every problem after it
+    (`require_valid`).  A negative weight made exact search return a cost
+    that was neither optimal nor its own tree's, and a NaN one a NaN cost."""
+    for inst, first in _bad_weight_instances():
+        assert validate_instance(inst).problems[0] == first
+        calls = {
+            "build_greedy_tree": lambda: build_greedy_tree(inst),
+            "build_greedy_node": lambda: build_greedy_node(inst, 0b1010),
+            "greedy_choice": lambda: greedy_choice(inst, [1, 2]),
+            "ExactSolver": lambda: ExactSolver(inst),
+            "partial_tree": lambda: partial_tree(inst, None, 1),
+            "optimal_tree": lambda: optimal_tree(inst),
+            "optimal_cost": lambda: optimal_cost(inst),
+            "full_tree": lambda: full_tree(inst, FullTreeConfig(alpha=0.5)),
+        }
+        for what, call in calls.items():
+            with pytest.raises(InvalidInstanceError) as ei:
+                call()
+            message = str(ei.value)
+            if what == "full_tree":
+                message = message.split("; ")[0]
+            assert message == first, what
+            assert ei.value.undistinguished is None, (first, what)
 
 
 def test_memo_reuse_across_calls():
@@ -357,6 +407,13 @@ def _differential_corpus():
                   DTInstance([Fraction(0), Fraction(1, 3), Fraction(1, 3),
                               Fraction(1, 3)],
                              [(1, 1, 2, 2), (1, 2, 2, 2), (1, 2, 1, 2)], 2)))
+    # every third weight 0, which the solvers' contract admits: the bounds
+    # stay admissible, and zero-weight parts tie
+    for n, K in ((5, 2), (7, 3), (8, 2), (11, 3)):
+        base = gen_random(n, rng.randrange(6, 10), K, seed=rng.randrange(10**6),
+                          profile="skew")
+        weights = [0 if i % 3 == 2 else w for i, w in enumerate(base.weights)]
+        cases.append((f"zero-skew n={n} K={K}", DTInstance(weights, base.tests, K)))
     return cases
 
 

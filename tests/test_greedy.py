@@ -15,7 +15,6 @@ from splitwise import (
     DTInstance,
     InvalidInstanceError,
     ParameterError,
-    UnsplittableSetError,
     build_greedy_tree,
     classify_vertices,
     cost,
@@ -28,7 +27,7 @@ from splitwise import (
     is_complete,
     majority_parts,
     optimal_cost,
-    require_distinguishable,
+    require_solvable,
     structural_problems,
     tree_to_text,
 )
@@ -103,7 +102,7 @@ def test_greedy_choice_skips_useless_tests():
 
 def test_greedy_choice_rejects_singletons():
     inst = singleton3()
-    with pytest.raises(UnsplittableSetError):
+    with pytest.raises(ParameterError):
         greedy_choice(inst, [2])
 
 
@@ -397,16 +396,12 @@ def greedy_edge_cases(K: int, exact: bool):
     base = gen_random(120, 24, K, 62 + K, profile="skew", exact=exact)
     zeros = [w if i % 3 == 0 else 0 for i, w in enumerate(base.weights)]
     out.append(("zero weights", DTInstance([num(w) for w in zeros], base.tests, K)))
-    negative = [w - num(Fraction(1, 150)) for w in base.weights]
-    out.append(("negative weights", DTInstance(negative, base.tests, K)))
     # uniform: the index digits in base K split every set evenly, so the
     # stop fires; random tests come first and keep it from firing at once
     n = K ** 4
     digits = [tuple(h // K ** d % K + 1 for h in range(n)) for d in range(4)]
     noise = [tuple(rng.randrange(1, K + 1) for _ in range(n)) for _ in range(6)]
     out.append(("uniform balanced", DTInstance([num(Fraction(1, n))] * n,
-                                               noise + digits, K)))
-    out.append(("uniform negative", DTInstance([num(Fraction(-1, n))] * n,
                                                noise + digits, K)))
     return out
 
@@ -423,14 +418,14 @@ def test_greedy_tree_matches_reference_on_edge_cases(K, exact, monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return inner(*args)
         monkeypatch.setattr(greedy, name, wrapper)
-    for name in ("majority_parts", "_uniform_weigher", "_member_weigher"):
+    for name in ("_uniform_weigher", "_member_weigher"):
         counted(name)
     for label, inst in greedy_edge_cases(K, exact):
         assert inst.exact == exact
         assert_same_tree(build_greedy_tree(inst), reference_greedy_tree(inst),
                          label)
     # the cases reach every branch of `_greedy_split`
-    assert sorted(calls) == ["_member_weigher", "_uniform_weigher", "majority_parts"]
+    assert sorted(calls) == ["_member_weigher", "_uniform_weigher"]
 
 
 def packed_cases(K: int, exact: bool):
@@ -509,7 +504,7 @@ def test_packed_route_matches_reference(K, exact, monkeypatch):
     for label, inst, root in packed_cases(K, exact):
         assert inst.exact == exact
         before = seen.copy()
-        tree = build_greedy_tree(inst, root)
+        tree = greedy.build_greedy_node(inst, inst.full_mask if root is None else root)
         assert_same_tree(tree, reference_greedy_tree(inst, root), label)
         assert state["packed"], label
         if seen["approximate"] > before["approximate"]:
@@ -600,7 +595,6 @@ def pair_cases(exact: bool):
         "uniform": [Fraction(1, n)] * n,
         "skew": skew,
         "zero": [w if i % 3 == 0 else 0 for i, w in enumerate(skew)],
-        "negative": [w - Fraction(1, 150) for w in skew],
         "two-tier": [Fraction(8, n + 7)] + [Fraction(1, n + 7)] * (n - 1),
     }
     return [(label, DTInstance([num(w) for w in ws], tests, 2))
@@ -610,7 +604,7 @@ def pair_cases(exact: bool):
 @pytest.mark.parametrize("exact", [True, False])
 def test_pairs_take_the_first_test_that_tells_them_apart(exact, monkeypatch):
     weighed = []
-    for name in ("majority_parts", "_uniform_weigher", "_member_weigher"):
+    for name in ("_uniform_weigher", "_member_weigher"):
         inner = getattr(greedy, name)
         monkeypatch.setattr(greedy, name, lambda inst, smask, *rest, inner=inner:
                             weighed.append(smask.bit_count()) or
@@ -641,10 +635,18 @@ def test_pairs_take_the_first_test_that_tells_them_apart(exact, monkeypatch):
     [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)],
 ])
 def test_unsplittable_set_raises_on_every_path(weights):
-    # hypotheses 1 and 2 answer alike on every test
+    """Hypotheses 1 and 2 answer alike on every test: greedy raises
+    `require_solvable`'s error, which names the negative weight first."""
     inst = DTInstance(weights, [(1, 1, 2), (2, 2, 1)], 2)
-    with pytest.raises(UnsplittableSetError):
-        greedy_choice(inst, [1, 2])
+    with pytest.raises(InvalidInstanceError) as want:
+        require_solvable(inst)
+    for call in (lambda: greedy_choice(inst, [1, 2]),
+                 lambda: build_greedy_tree(inst)):
+        with pytest.raises(InvalidInstanceError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+        assert got.value.undistinguished == want.value.undistinguished
+    assert want.value.undistinguished == (None if min(weights) < 0 else (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +685,10 @@ def test_labels_heavy_matches_reference(K, exact):
 # ---------------------------------------------------------------------------
 
 def test_greedy_checks_pairs_only_when_it_fails(monkeypatch):
-    """On an H with two members no test separates, `build_greedy_tree`
-    raises `require_distinguishable`'s error, message and pair; on a valid
-    H it never scans for pairs."""
+    """On an instance with two hypotheses no test separates, greedy raises
+    `require_solvable`'s error, message and instance's first pair, over the
+    whole instance and over a set that holds only its second pair.  It never
+    scans a valid instance for pairs, nor a set that no such pair meets."""
     rng = random.Random(90)
     cases = []
     for exact in (True, False):
@@ -696,22 +699,25 @@ def test_greedy_checks_pairs_only_when_it_fails(monkeypatch):
             for row in tests:
                 row[5], row[n - 1] = row[2], row[n - 3]
             bad = DTInstance(inst.weights, tests, 2)
-            for H in (None, rng.getrandbits(n) | 1 << 2 | 1 << 5):
-                cases.append((bad, H))
-    for inst, H in cases:
+            second = rng.getrandbits(n) & ~(1 << 2 | 1 << 5) | 1 << n - 3 | 1 << n - 1
+            cases.append((inst, bad, second))
+    for _, bad, second in cases:
         with pytest.raises(InvalidInstanceError) as want:
-            require_distinguishable(inst, inst.as_mask(H))
-        with pytest.raises(InvalidInstanceError) as got:
-            build_greedy_tree(inst, H)
-        assert str(got.value) == str(want.value)
-        assert got.value.undistinguished == want.value.undistinguished
+            require_solvable(bad)
+        assert want.value.undistinguished == (3, 6)
+        for call in (lambda: build_greedy_tree(bad),
+                     lambda: greedy.build_greedy_node(bad, second)):
+            with pytest.raises(InvalidInstanceError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+            assert got.value.undistinguished == want.value.undistinguished
 
-    def refuse(inst, mask):
-        raise AssertionError("a valid H was scanned for pairs")
-    monkeypatch.setattr(greedy, "require_distinguishable", refuse)
-    for inst, H in cases:
-        valid = inst.as_mask(H) & ~(1 << 5 | 1 << (inst.n - 1))
-        build_greedy_tree(inst, valid)
+    def refuse(inst):
+        raise AssertionError("a valid instance was scanned for pairs")
+    monkeypatch.setattr(greedy, "require_solvable", refuse)
+    for inst, bad, second in cases:
+        build_greedy_tree(inst)
+        greedy.build_greedy_node(bad, second & ~(1 << bad.n - 1))
 
 
 def test_packed_sets_carry_their_members(monkeypatch):

@@ -607,15 +607,12 @@ def test_undistinguished_pairs_reported_and_raised():
     inst = DTInstance([Fraction(1, 5)] * 5, [(1, 2, 1, 1, 2), (1, 1, 1, 1, 1)], 2)
     report = validate_instance(inst)
     assert report.undistinguished == ((1, 3), (3, 4), (2, 5))
-    # greedy over a subset raises on the subset's first clashing pair
-    with pytest.raises(InvalidInstanceError) as ei:
-        build_greedy_tree(inst, [2, 3, 4, 5])
-    assert ei.value.undistinguished == (3, 4)
-    build_greedy_tree(inst, [1, 2])          # a distinguished subset is fine
-    # exact search refuses the instance, whatever the subset
-    for subset in ([2, 3, 4, 5], [1, 2]):
+    # greedy and exact search refuse the instance, naming its first pair
+    for call in (lambda: build_greedy_tree(inst),
+                 lambda: optimal_tree(inst, [2, 3, 4, 5]),
+                 lambda: optimal_tree(inst, [1, 2])):
         with pytest.raises(InvalidInstanceError) as ei:
-            optimal_tree(inst, subset)
+            call()
         assert ei.value.undistinguished == (1, 3)
 
 
